@@ -336,8 +336,9 @@ pub struct StripedScratch<const LB: usize, const LW: usize> {
 
 /// Farrar striped SIMD Smith-Waterman with the adaptive 8-bit-first /
 /// 16-bit-rescore strategy. `LB`/`LW` are the byte/word lane counts of
-/// one register width: `<16, 8>` for the 128-bit Altivec model,
-/// `<32, 16>` for the paper's 256-bit extension.
+/// one register width: `<16, 8>` for the 128-bit Altivec model, which
+/// runs on SSE2 lanes on x86_64, `<32, 16>` for the paper's 256-bit
+/// extension, on emulated lanes (see [`crate::striped`]).
 pub struct StripedEngine<const LB: usize, const LW: usize> {
     profile: Arc<QueryProfile>,
     gaps: GapPenalties,
@@ -673,7 +674,8 @@ pub enum Engine {
     Sw,
     /// Scalar Smith-Waterman, SSEARCH lazy-F formulation.
     SwLazy,
-    /// Farrar striped SIMD, adaptive 8/16-bit, 128-bit width.
+    /// Farrar striped SIMD, adaptive 8/16-bit, 128-bit width: SSE2
+    /// lanes on x86_64, emulated lanes on other targets.
     Striped,
     /// Wozniak anti-diagonal SIMD, 128-bit (8 × 16-bit lanes).
     Vmx128,
@@ -722,7 +724,7 @@ impl Engine {
         match self {
             Engine::Sw => "scalar Smith-Waterman (Gotoh affine gaps)",
             Engine::SwLazy => "scalar Smith-Waterman, SSEARCH lazy-F loop",
-            Engine::Striped => "Farrar striped SIMD SW, adaptive 8/16-bit, 128-bit",
+            Engine::Striped => "Farrar striped SIMD SW, adaptive 8/16-bit, 128-bit, SSE2 on x86_64",
             Engine::Vmx128 => "anti-diagonal SIMD SW, 128-bit Altivec model",
             Engine::Vmx256 => "anti-diagonal SIMD SW, 256-bit extension",
             Engine::Fasta => "FASTA heuristic: ktup diagonals + banded opt",

@@ -3,26 +3,26 @@
 //! Database search is embarrassingly parallel across subjects — the
 //! paper's related-work section notes that most prior art studies
 //! exactly this axis (cluster/SMP scaling) while the paper itself
-//! studies the single processor. This module provides two layers:
+//! studies the single processor. [`engine_scores`] / [`engine_search`]
+//! drive any [`AlignmentEngine`] over a subject list: one shared engine
+//! (query index / profile) threaded through all workers, one reusable
+//! [`AlignmentEngine::Workspace`] per worker (zero per-subject
+//! allocation), **chunked** work claiming (workers grab batches of
+//! subjects per atomic `fetch_add` instead of one, cutting cursor
+//! contention on short subjects), per-engine statistics harvested from
+//! the workspaces, and deterministic, thread-count-independent results.
 //!
-//! * [`par_scores`] / [`par_search`] — a subject-parallel driver for
-//!   any pure scoring function, with **chunked** work claiming
-//!   (workers grab batches of subjects per atomic `fetch_add` instead
-//!   of one, cutting cursor contention on short subjects);
-//! * [`engine_scores`] / [`engine_search`] — the same pipeline driven
-//!   through an [`AlignmentEngine`]: one shared engine (query index /
-//!   profile) threaded through all workers, one reusable
-//!   [`AlignmentEngine::Workspace`] per worker (zero per-subject
-//!   allocation), per-engine statistics harvested from the workspaces,
-//!   and deterministic, thread-count-independent results.
-//!
-//! Both layers share one chunked work-claiming loop; determinism is
-//! enforced by tests that compare thread counts {1, 2, 8}.
+//! Every front end shares one chunked work-claiming loop; determinism
+//! is enforced by tests that compare thread counts {1, 2, 8}. When only
+//! one worker would run, the loop runs on the calling thread: a scoped
+//! spawn and join cost ~200 us (2-CPU x86_64 container), while a
+//! one-subject `engine_scores` call takes ~3 us, and indexed search
+//! calls [`engine_scores`] once per shard.
 //!
 //! ## Graceful degradation
 //!
-//! The engine layer additionally hardens the loop against two failure
-//! modes a production scan must survive:
+//! The loop is hardened against two failure modes a production scan
+//! must survive:
 //!
 //! * **Poisoned subjects** — every `score_one` call runs under
 //!   [`std::panic::catch_unwind`]. A panicking subject is *quarantined*
@@ -95,14 +95,30 @@ fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// Runs `workers` copies of `work` and returns their results: on the
+/// calling thread when there is one, sparing a thread spawn and join,
+/// otherwise on scoped threads.
+fn run_workers<T: Send>(workers: usize, work: impl Fn() -> T + Sync) -> Vec<T> {
+    if workers == 1 {
+        return vec![work()];
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(&work)).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect()
+    })
+}
+
 /// The one chunked work-claiming loop behind every parallel front end.
 ///
-/// Spawns up to `threads` scoped workers; each builds one workspace
-/// with `make_ws`, claims `chunk` consecutive subjects per `fetch_add`
-/// on a shared cursor, and records `(index, score)` pairs. The merge
-/// restores subject order — output is identical no matter how chunks
-/// interleave — and the workspaces are returned so callers can harvest
-/// per-worker statistics.
+/// Runs up to `threads` workers (see [`run_workers`]); each builds one
+/// workspace with `make_ws`, claims `chunk` consecutive subjects per
+/// `fetch_add` on a shared cursor, and records `(index, score)` pairs.
+/// The merge restores subject order — output is identical no matter how
+/// chunks interleave — and the workspaces are returned so callers can
+/// harvest per-worker statistics.
 ///
 /// Every `score_fn` call runs under `catch_unwind`: a panicking subject
 /// is recorded in `quarantined` and its worker replaces the workspace
@@ -136,50 +152,38 @@ where
     let threads = threads.min(subject_count.div_ceil(chunk));
     let cursor = AtomicUsize::new(0);
 
-    let mut partials: Vec<WorkerYield<W>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let score_fn = &score_fn;
-            let make_ws = &make_ws;
-            handles.push(scope.spawn(move || {
-                // Reused across every subject this worker scores.
-                let mut ws = make_ws();
-                let mut local = WorkerYield {
-                    scored: Vec::new(),
-                    quarantined: Vec::new(),
-                    workspaces: Vec::new(),
-                };
-                loop {
-                    if wall.is_some_and(|w| Instant::now() >= w) {
-                        break;
-                    }
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= subject_count {
-                        break;
-                    }
-                    let end = (start + chunk).min(subject_count);
-                    for i in start..end {
-                        match catch_unwind(AssertUnwindSafe(|| score_fn(&mut ws, i))) {
-                            Ok(s) => local.scored.push((i, s)),
-                            Err(payload) => {
-                                local.quarantined.push((i, panic_cause(payload)));
-                                // The unwound workspace may be mid-update;
-                                // retire it (counters intact) and continue
-                                // on a fresh one.
-                                local.workspaces.push(std::mem::replace(&mut ws, make_ws()));
-                            }
-                        }
+    let partials = run_workers(threads, || {
+        // Reused across every subject this worker scores.
+        let mut ws = make_ws();
+        let mut local = WorkerYield {
+            scored: Vec::new(),
+            quarantined: Vec::new(),
+            workspaces: Vec::new(),
+        };
+        loop {
+            if wall.is_some_and(|w| Instant::now() >= w) {
+                break;
+            }
+            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+            if start >= subject_count {
+                break;
+            }
+            let end = (start + chunk).min(subject_count);
+            for i in start..end {
+                match catch_unwind(AssertUnwindSafe(|| score_fn(&mut ws, i))) {
+                    Ok(s) => local.scored.push((i, s)),
+                    Err(payload) => {
+                        local.quarantined.push((i, panic_cause(payload)));
+                        // The unwound workspace may be mid-update;
+                        // retire it (counters intact) and continue on a
+                        // fresh one.
+                        local.workspaces.push(std::mem::replace(&mut ws, make_ws()));
                     }
                 }
-                local.workspaces.push(ws);
-                local
-            }));
+            }
         }
-        for h in handles {
-            partials.push(h.join().expect("worker panicked"));
-        }
+        local.workspaces.push(ws);
+        local
     });
     let mut out = ChunkedOutcome {
         scores,
@@ -195,91 +199,6 @@ where
     }
     out.quarantined.sort_by_key(|&(i, _)| i);
     out
-}
-
-/// Scores every subject with `score_fn` using `threads` worker
-/// threads, returning per-subject scores in subject order (independent
-/// of the thread count).
-///
-/// `score_fn` is called once per subject index and must be pure.
-/// Work is claimed in chunks chosen automatically; use
-/// [`par_scores_chunked`] to pin the chunk size.
-///
-/// # Panics
-///
-/// Panics if `threads` is 0, or propagates a panic from `score_fn`.
-pub fn par_scores<F>(subject_count: usize, threads: usize, score_fn: F) -> Vec<i32>
-where
-    F: Fn(usize) -> i32 + Sync,
-{
-    let chunk = auto_chunk(subject_count, threads.max(1));
-    par_scores_chunked(subject_count, threads, chunk, score_fn)
-}
-
-/// [`par_scores`] with an explicit claim-chunk size: each worker grabs
-/// `chunk` consecutive subjects per `fetch_add` on the shared cursor.
-///
-/// # Panics
-///
-/// Panics if `threads` or `chunk` is 0, or propagates a panic from
-/// `score_fn`.
-pub fn par_scores_chunked<F>(
-    subject_count: usize,
-    threads: usize,
-    chunk: usize,
-    score_fn: F,
-) -> Vec<i32>
-where
-    F: Fn(usize) -> i32 + Sync,
-{
-    let out = chunked_scores(
-        subject_count,
-        threads,
-        chunk,
-        None,
-        || (),
-        |_, i| score_fn(i),
-    );
-    // This raw layer documents panic propagation; quarantine is the
-    // engine layer's contract.
-    if let Some((i, cause)) = out.quarantined.first() {
-        panic!("score_fn panicked on subject {i}: {cause}");
-    }
-    out.scores
-        .into_iter()
-        .map(|s| s.expect("no deadline: every subject scored"))
-        .collect()
-}
-
-/// Parallel ranked search: scores every subject with `score_fn` on
-/// `threads` threads and returns the best `keep` hits with scores of at
-/// least `min_score`.
-///
-/// # Panics
-///
-/// Panics if `threads` or `keep` is 0.
-pub fn par_search<F>(
-    subject_count: usize,
-    threads: usize,
-    keep: usize,
-    min_score: i32,
-    score_fn: F,
-) -> SearchResults
-where
-    F: Fn(usize) -> i32 + Sync,
-{
-    let scores = par_scores(subject_count, threads, score_fn);
-    collect_hits(scores, keep, min_score)
-}
-
-fn collect_hits(scores: Vec<i32>, keep: usize, min_score: i32) -> SearchResults {
-    let mut results = TopK::new(keep);
-    for (seq_index, score) in scores.into_iter().enumerate() {
-        if score >= min_score {
-            results.push(Hit { seq_index, score });
-        }
-    }
-    results.finish()
 }
 
 /// Sentinel stored in an [`engine_scores`] slot whose subject was
@@ -501,46 +420,35 @@ pub fn align_hits<const L: usize>(
     let workers = threads.min(n);
     let cursor = AtomicUsize::new(0);
 
-    let mut partials: Vec<Vec<(usize, Option<Alignment>)>> = Vec::with_capacity(workers);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let cursor = &cursor;
-            let profile = &profile;
-            handles.push(scope.spawn(move || {
-                let mut ws = Workspace::<L>::new();
-                let mut local = Vec::new();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let hit = hits[i];
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        traceback::align_hit::<L>(
-                            query,
-                            matrix,
-                            gaps,
-                            profile,
-                            subjects[hit.seq_index],
-                            hit.score,
-                            &mut ws,
-                        )
-                    }));
-                    match outcome {
-                        Ok(alignment) => local.push((i, alignment)),
-                        Err(_) => {
-                            ws = Workspace::new();
-                            local.push((i, None));
-                        }
-                    }
-                }
-                local
+    let partials = run_workers(workers, || {
+        let mut ws = Workspace::<L>::new();
+        let mut local = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let hit = hits[i];
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                traceback::align_hit::<L>(
+                    query,
+                    matrix,
+                    gaps,
+                    &profile,
+                    subjects[hit.seq_index],
+                    hit.score,
+                    &mut ws,
+                )
             }));
+            match outcome {
+                Ok(alignment) => local.push((i, alignment)),
+                Err(_) => {
+                    ws = Workspace::new();
+                    local.push((i, None));
+                }
+            }
         }
-        for handle in handles {
-            partials.push(handle.join().expect("traceback worker panicked"));
-        }
+        local
     });
 
     let mut out = vec![None; n];
@@ -555,13 +463,13 @@ pub fn align_hits<const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::StripedEngine;
+    use crate::engine::{StripedEngine, SwEngine};
     use crate::sw;
     use sapa_bioseq::db::DatabaseBuilder;
     use sapa_bioseq::matrix::GapPenalties;
-    use sapa_bioseq::profile::QueryProfile;
+    use sapa_bioseq::profile::{ProfileCache, QueryProfile};
     use sapa_bioseq::queries::QuerySet;
-    use sapa_bioseq::SubstitutionMatrix;
+    use sapa_bioseq::{Sequence, SubstitutionMatrix};
 
     #[test]
     fn scores_are_deterministic_across_thread_counts() {
@@ -575,12 +483,10 @@ mod tests {
             .build();
         let m = SubstitutionMatrix::blosum62();
         let g = GapPenalties::paper();
+        let slices: Vec<&[sapa_bioseq::AminoAcid]> = db.iter().map(|s| s.residues()).collect();
+        let engine = SwEngine::new(query.residues(), &m, g);
 
-        let run = |threads: usize| {
-            par_scores(db.len(), threads, |i| {
-                sw::score(query.residues(), db.sequences()[i].residues(), &m, g)
-            })
-        };
+        let run = |threads: usize| engine_scores(&engine, &slices, threads).0;
         let one = run(1);
         let four = run(4);
         let nine = run(9);
@@ -639,19 +545,38 @@ mod tests {
         // identical results for threads ∈ {1, 2, 8}, at several chunk
         // sizes including ones that don't divide the subject count.
         let n = 103;
-        let expect: Vec<i32> = (0..n).map(|i| (i * i % 97) as i32).collect();
+        let expect: Vec<i32> = (0..n).map(|i| (1 + i * i % 97) as i32).collect();
+        let lens: Vec<usize> = expect.iter().map(|&s| s as usize).collect();
+        let owned = subjects_of_lengths(&lens);
+        let slices: Vec<&[sapa_bioseq::AminoAcid]> = owned.iter().map(|s| &s[..]).collect();
+        let engine = FlakyEngine { stride: usize::MAX };
         for chunk in [1usize, 3, 16, 64, 200] {
             for threads in [1usize, 2, 8] {
-                let got = par_scores_chunked(n, threads, chunk, |i| (i * i % 97) as i32);
+                let out = chunked_scores(
+                    n,
+                    threads,
+                    chunk,
+                    None,
+                    || engine.workspace(),
+                    |ws, i| engine.score_one(ws, slices[i]),
+                );
+                let got: Vec<i32> = out.scores.into_iter().map(Option::unwrap).collect();
                 assert_eq!(got, expect, "chunk {chunk} threads {threads}");
             }
+        }
+        // The front end picks its own chunk size per thread count.
+        for threads in [1usize, 2, 8] {
+            let (got, _) = engine_scores(&engine, &slices, threads);
+            assert_eq!(got, expect, "engine_scores threads {threads}");
         }
     }
 
     #[test]
     fn ranked_search_matches_serial_filtering() {
-        let scores = [5, 40, 12, 40, 3, 99];
-        let r = par_search(scores.len(), 3, 4, 10, |i| scores[i]);
+        let owned = subjects_of_lengths(&[5, 40, 12, 40, 3, 99]);
+        let slices: Vec<&[sapa_bioseq::AminoAcid]> = owned.iter().map(|s| &s[..]).collect();
+        let engine = FlakyEngine { stride: usize::MAX };
+        let (r, _) = engine_search(&engine, &slices, 3, 4, 10);
         let hits = r.hits();
         assert_eq!(hits[0].score, 99);
         assert_eq!(hits[1].score, 40);
@@ -663,7 +588,9 @@ mod tests {
 
     #[test]
     fn empty_database_is_fine() {
-        assert!(par_scores(0, 4, |_| 0).is_empty());
+        assert!(engine_scores(&FlakyEngine { stride: 1 }, &[], 4)
+            .0
+            .is_empty());
         let m = SubstitutionMatrix::blosum62();
         let g = GapPenalties::paper();
         let engine = StripedEngine::<16, 8>::from_query(&[], &m, g);
@@ -676,19 +603,60 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
-        let _ = par_scores(3, 0, |_| 0);
+        let owned = subjects_of_lengths(&[1, 2, 3]);
+        let slices: Vec<&[sapa_bioseq::AminoAcid]> = owned.iter().map(|s| &s[..]).collect();
+        let _ = engine_scores(&FlakyEngine { stride: usize::MAX }, &slices, 0);
     }
 
     #[test]
     #[should_panic(expected = "positive chunk")]
     fn zero_chunk_rejected() {
-        let _ = par_scores_chunked(3, 1, 0, |_| 0);
+        // Only the shared loop takes a chunk size; the front ends pick
+        // a positive one.
+        let _ = chunked_scores(3, 1, 0, None, || (), |_, _| 0);
     }
 
     #[test]
     fn more_threads_than_subjects_is_fine() {
-        let v = par_scores(2, 16, |i| i as i32);
-        assert_eq!(v, vec![0, 1]);
+        let owned = subjects_of_lengths(&[1, 2]);
+        let slices: Vec<&[sapa_bioseq::AminoAcid]> = owned.iter().map(|s| &s[..]).collect();
+        let (v, _) = engine_scores(&FlakyEngine { stride: usize::MAX }, &slices, 16);
+        assert_eq!(v, vec![1, 2]);
+    }
+
+    #[test]
+    fn single_worker_runs_on_the_calling_thread() {
+        // Records the thread every subject is scored on.
+        struct ThreadProbe(std::sync::Mutex<Vec<std::thread::ThreadId>>);
+
+        impl AlignmentEngine for ThreadProbe {
+            type Workspace = ();
+
+            fn name(&self) -> &'static str {
+                "probe"
+            }
+
+            fn workspace(&self) {}
+
+            fn score_one(&self, _ws: &mut (), subject: &[sapa_bioseq::AminoAcid]) -> i32 {
+                self.0.lock().unwrap().push(std::thread::current().id());
+                subject.len() as i32
+            }
+        }
+
+        let owned = subjects_of_lengths(&[3, 1, 4, 1, 5]);
+        let slices: Vec<&[sapa_bioseq::AminoAcid]> = owned.iter().map(|s| &s[..]).collect();
+        let me = std::thread::current().id();
+        // One thread, and more threads than claimable chunks of one
+        // subject: either way a single worker runs.
+        for (subjects, threads) in [(&slices[..], 1), (&slices[..1], 4)] {
+            let probe = ThreadProbe(Default::default());
+            let (scores, _) = engine_scores(&probe, subjects, threads);
+            assert_eq!(scores.len(), subjects.len());
+            let seen = probe.0.into_inner().unwrap();
+            assert_eq!(seen.len(), subjects.len());
+            assert!(seen.iter().all(|&id| id == me), "threads={threads}");
+        }
     }
 
     #[test]
@@ -933,5 +901,25 @@ mod tests {
         );
         // The engine holds the same allocation the cache handed out.
         assert_eq!(std::sync::Arc::strong_count(&profile), 2);
+    }
+
+    #[test]
+    fn cached_profiles_of_same_named_matrices_score_apart() {
+        // Both matrices are named "uniform"; keyed on the name, the
+        // cache would hand this search the (5, -4) profile, scoring 50.
+        let q = Sequence::from_str("q", "MKWVTFISLLFLFSSAYS").unwrap();
+        let s = Sequence::from_str("s", "MKWVTFISLL").unwrap();
+        let g = GapPenalties::paper();
+        let mut cache = ProfileCache::new();
+        let _ = cache.get_or_build(q.residues(), &SubstitutionMatrix::uniform(5, -4), 8);
+        let mild = SubstitutionMatrix::uniform(2, -1);
+        let engine =
+            StripedEngine::<16, 8>::with_profile(cache.get_or_build(q.residues(), &mild, 8), g);
+        let (scores, _) = engine_scores(&engine, &[s.residues()], 1);
+        assert_eq!(
+            scores,
+            vec![sw::score(q.residues(), s.residues(), &mild, g)]
+        );
+        assert_eq!(scores, vec![20]);
     }
 }

@@ -20,11 +20,10 @@
 //! bounded wrap repair run, visiting each segment at most once per
 //! wrap under Farrar's termination test. Snytsar's further step — a
 //! `log2(L)`-step max-plus prefix scan folding all wraps into one
-//! pass — was implemented and measured slower on this crate's
-//! emulated vectors; see `correct_lazy_f`'s comment for the
-//! numbers-driven reasoning. The pre-deconstruction Farrar loop is
-//! kept as [`score_with_profile_ref`]/[`score_bytes_with_profile_ref`]
-//! for the bit-identity property tests and the speedup benchmark.
+//! pass — was implemented and measured slower on the emulated vectors,
+//! before the SSE2 lanes existed; see `word_column`'s comment. The
+//! pre-deconstruction Farrar loop lives on as the bit-identity oracle
+//! in `tests/properties.rs`.
 //!
 //! [`score_ends_with_profile`] additionally reports the *end cell* of
 //! the best local alignment (SSW-style minimal endpoint: first column
@@ -33,18 +32,28 @@
 //!
 //! Two precisions share the machinery:
 //!
-//! * [`score_with_profile`] — 16-bit signed lanes (`Vector<L>`), exact
-//!   for every score below `i16::MAX`;
-//! * [`score_bytes_with_profile`] — biased 8-bit unsigned lanes
-//!   (`ByteVector<L>`, twice the lanes per register) with saturation
-//!   detection; [`score_adaptive_with_profile`] runs bytes first and
-//!   rescores the rare overflowing subject in 16-bit — the SSW
-//!   overflow-recovery scheme.
+//! * [`score_with_profile`] — 16-bit signed lanes, exact for every
+//!   score below `i16::MAX`;
+//! * [`score_bytes_with_profile`] — biased 8-bit unsigned lanes (twice
+//!   the lanes per register) with saturation detection;
+//!   [`score_adaptive_with_profile`] runs bytes first and rescores the
+//!   rare overflowing subject in 16-bit — the SSW overflow-recovery
+//!   scheme.
+//!
+//! Each kernel is written once, generic over a [`Lanes`] register type
+//! (`*_with_lanes`). The const-generic entry points pick the type from
+//! the lane count: at the 128-bit width (8 word / 16 byte lanes) on
+//! x86_64 they run the SSE2 registers of [`sapa_vsimd::sse2`], the
+//! layout of SSW's SSE2 kernel; every other width and target runs the
+//! emulated [`Vector`]/[`ByteVector`]. SSE2 is part of the x86_64
+//! baseline, so the choice is made at compile time with nothing to
+//! detect or configure.
 //!
 //! Every variant is score-identical to the scalar Gotoh oracle
-//! ([`crate::sw::score`]); the property suite in `tests/properties.rs`
-//! enforces that at both lane widths, both precisions, and across the
-//! overflow boundary.
+//! ([`crate::sw::score`]), and the SSE2 lanes are bit-identical to the
+//! emulated ones, `None` (saturation) decisions included; the property
+//! suite in `tests/properties.rs` enforces both at both lane widths,
+//! both precisions, and across the overflow boundary.
 //!
 //! ```
 //! use sapa_align::striped;
@@ -65,17 +74,43 @@
 use sapa_bioseq::matrix::GapPenalties;
 use sapa_bioseq::profile::{QueryProfile, WORD_PAD};
 use sapa_bioseq::{AminoAcid, SubstitutionMatrix};
-use sapa_vsimd::{ByteVector, Vector};
+#[cfg(target_arch = "x86_64")]
+use sapa_vsimd::sse2::{I16x8, U8x16};
+use sapa_vsimd::{ByteVector, Lanes, Vector};
+
+/// Per-subject row state of a striped kernel: H of the current and the
+/// previous column and E, each `segments × lanes` elements laid out
+/// like a profile row.
+#[derive(Debug, Clone, Default)]
+struct Rows<T> {
+    h_store: Vec<T>,
+    h_load: Vec<T>,
+    e: Vec<T>,
+}
+
+impl<T: Copy> Rows<T> {
+    /// Sizes the rows for `len` elements: H starts at `zero`, E at
+    /// `dead`.
+    fn reset(&mut self, len: usize, zero: T, dead: T) {
+        for (row, fill) in [
+            (&mut self.h_store, zero),
+            (&mut self.h_load, zero),
+            (&mut self.e, dead),
+        ] {
+            row.clear();
+            row.resize(len, fill);
+        }
+    }
+}
 
 /// Reusable 16-bit row state for the striped kernel: three arrays of
-/// `segments` vectors (H current, H previous, E). A database-search
-/// worker allocates one workspace and reuses it for every subject —
-/// the buffers are sized by the *query*, which is fixed for the scan.
+/// `segments` vectors of `L` lanes (H current, H previous, E). A
+/// database-search worker allocates one workspace and reuses it for
+/// every subject — the buffers are sized by the *query*, which is
+/// fixed for the scan.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace<const L: usize> {
-    h_store: Vec<Vector<L>>,
-    h_load: Vec<Vector<L>>,
-    e: Vec<Vector<L>>,
+    rows: Rows<i16>,
 }
 
 impl<const L: usize> Workspace<L> {
@@ -83,26 +118,13 @@ impl<const L: usize> Workspace<L> {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Sizes the buffers for `segments` and resets per-subject state.
-    fn reset(&mut self, segments: usize) {
-        let neg = Vector::<L>::splat(WORD_PAD);
-        self.h_store.clear();
-        self.h_store.resize(segments, Vector::zero());
-        self.h_load.clear();
-        self.h_load.resize(segments, Vector::zero());
-        self.e.clear();
-        self.e.resize(segments, neg);
-    }
 }
 
 /// Reusable 8-bit row state, the byte-precision sibling of
 /// [`Workspace`].
 #[derive(Debug, Clone, Default)]
 pub struct ByteWorkspace<const L: usize> {
-    h_store: Vec<ByteVector<L>>,
-    h_load: Vec<ByteVector<L>>,
-    e: Vec<ByteVector<L>>,
+    rows: Rows<u8>,
 }
 
 impl<const L: usize> ByteWorkspace<L> {
@@ -110,22 +132,27 @@ impl<const L: usize> ByteWorkspace<L> {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
-    fn reset(&mut self, segments: usize) {
-        self.h_store.clear();
-        self.h_store.resize(segments, ByteVector::zero());
-        self.h_load.clear();
-        self.h_load.resize(segments, ByteVector::zero());
-        self.e.clear();
-        self.e.resize(segments, ByteVector::zero());
-    }
+/// Checks that lane type `V`, workspace width `L` and the profile's
+/// word layout agree.
+fn check_word_lanes<V: Lanes, const L: usize>(profile: &QueryProfile) {
+    assert_eq!(V::LANES, L, "lane type does not match workspace width");
+    assert_eq!(
+        profile.word_lanes(),
+        L,
+        "profile built for {} word lanes, kernel instantiated for {L}",
+        profile.word_lanes()
+    );
 }
 
 /// Striped Smith-Waterman in 16-bit lanes against a prebuilt profile.
 ///
 /// Exact as long as the true score stays below `i16::MAX` (the same
 /// contract as [`crate::simd_sw::score`]). `ws` is per-subject scratch
-/// that callers reuse across a database scan.
+/// that callers reuse across a database scan. At `L = 8` on x86_64 this
+/// runs on SSE2 registers ([`I16x8`]); every other width and target
+/// runs the emulated [`Vector<L>`] through [`score_with_lanes`].
 ///
 /// # Panics
 ///
@@ -136,164 +163,149 @@ pub fn score_with_profile<const L: usize>(
     gaps: GapPenalties,
     ws: &mut Workspace<L>,
 ) -> i32 {
-    assert_eq!(
-        profile.word_lanes(),
-        L,
-        "profile built for {} word lanes, kernel instantiated for {L}",
-        profile.word_lanes()
-    );
-    if profile.query_len() == 0 || b.is_empty() {
-        return 0;
+    #[cfg(target_arch = "x86_64")]
+    if L == I16x8::LANES {
+        return score_with_lanes::<I16x8, L>(profile, b, gaps, ws);
     }
-    let segs = profile.word_segments();
-    let open_ext = Vector::<L>::splat((gaps.open + gaps.extend) as i16);
-    let ext = Vector::<L>::splat(gaps.extend as i16);
-    let zero = Vector::<L>::zero();
-    let neg = Vector::<L>::splat(WORD_PAD);
-
-    ws.reset(segs);
-    let mut vmax = zero;
-
-    for &bj in b {
-        let row = profile.word_row(bj);
-        // F starts dead: within-column chains that cross a lane
-        // boundary are repaired by the lazy-F loop below.
-        let mut vf = neg;
-        // The diagonal input of segment 0 is the previous column's last
-        // segment shifted one lane up; lane 0 gets the H[0][j-1] = 0
-        // local-alignment boundary.
-        let mut vh = ws.h_store[segs - 1].shift_in_first(0);
-        std::mem::swap(&mut ws.h_store, &mut ws.h_load);
-
-        for s in 0..segs {
-            // One aligned load replaces the anti-diagonal kernel's
-            // per-cell score gather.
-            let p = Vector::<L>::from_slice(&row[s * L..]);
-            vh = vh.adds(p);
-            let e = ws.e[s];
-            vh = vh.max(e).max(vf).max(zero);
-            vmax = vmax.max(vh);
-            ws.h_store[s] = vh;
-
-            let h_open = vh.subs(open_ext);
-            ws.e[s] = e.subs(ext).max(h_open);
-            vf = vf.subs(ext).max(h_open);
-
-            vh = ws.h_load[s];
-        }
-
-        // Deconstructed lazy-F (Snytsar): the common no-correction
-        // column is this one predicate — shift, subtract, compare —
-        // with no wrap iteration and no stores. Only when it fires
-        // does the bounded wrap repair below run, visiting each
-        // segment at most once per wrap under Farrar's termination
-        // test (at most L wraps). The repair is spelled out inline:
-        // hoisting it into a helper — even `#[inline(always)]`, even
-        // over plain slices — measurably pessimizes the surrounding
-        // loop's auto-vectorization, and `#[cold]`/`#[inline(never)]`
-        // variants cost ~5x by un-vectorizing the emulated vector
-        // ops. A log2(L)-step max-plus prefix scan folding all wraps
-        // into one pass (Snytsar's formulation) also benched slower:
-        // the folded F stays live across more segments than any
-        // single wrap, and emulated vectors have no branch-cost for
-        // the scan to amortize.
-        let mut vf = vf.shift_in_first(WORD_PAD);
-        if vf.any_gt(ws.h_store[0].subs(open_ext)) {
-            'lazy: for _ in 0..L {
-                for s in 0..segs {
-                    let h = ws.h_store[s].max(vf);
-                    ws.h_store[s] = h;
-                    vmax = vmax.max(h);
-                    let h_open = h.subs(open_ext);
-                    // A raised H can also feed next column's E.
-                    ws.e[s] = ws.e[s].max(h_open);
-                    vf = vf.subs(ext);
-                    if !vf.any_gt(h_open) {
-                        break 'lazy;
-                    }
-                }
-                vf = vf.shift_in_first(WORD_PAD);
-            }
-        }
-    }
-
-    i32::from(vmax.horizontal_max()).max(0)
+    score_with_lanes::<Vector<L>, L>(profile, b, gaps, ws)
 }
 
-/// Pre-deconstruction 16-bit kernel: Farrar's original wrap-until-break
-/// lazy-F loop, kept verbatim as the bit-identity oracle for the
-/// deconstructed kernel (property tests) and as the baseline side of
-/// the `lazyf_deconstructed_speedup` benchmark. Not used by any
-/// engine.
+/// [`score_with_profile`] on an explicit lane type `V` with `L` lanes —
+/// the one 16-bit kernel body, exposed so tests and benchmarks can run
+/// the SSE2 and the emulated lanes side by side.
 ///
 /// # Panics
 ///
-/// Panics if the profile was built for a different word lane count.
-pub fn score_with_profile_ref<const L: usize>(
+/// Panics if `V` does not have `L` lanes or the profile was built for a
+/// different word lane count.
+pub fn score_with_lanes<V: Lanes<Elem = i16>, const L: usize>(
     profile: &QueryProfile,
     b: &[AminoAcid],
     gaps: GapPenalties,
     ws: &mut Workspace<L>,
 ) -> i32 {
-    assert_eq!(
-        profile.word_lanes(),
-        L,
-        "profile built for {} word lanes, kernel instantiated for {L}",
-        profile.word_lanes()
-    );
+    check_word_lanes::<V, L>(profile);
     if profile.query_len() == 0 || b.is_empty() {
         return 0;
     }
-    let segs = profile.word_segments();
-    let open_ext = Vector::<L>::splat((gaps.open + gaps.extend) as i16);
-    let ext = Vector::<L>::splat(gaps.extend as i16);
-    let zero = Vector::<L>::zero();
-    let neg = Vector::<L>::splat(WORD_PAD);
-
-    ws.reset(segs);
-    let mut vmax = zero;
-
+    let consts = WordConsts::new(gaps);
+    ws.rows.reset(profile.word_segments() * L, 0, WORD_PAD);
+    let mut vmax = consts.zero;
     for &bj in b {
-        let row = profile.word_row(bj);
-        let mut vf = neg;
-        let mut vh = ws.h_store[segs - 1].shift_in_first(0);
-        std::mem::swap(&mut ws.h_store, &mut ws.h_load);
+        vmax = word_column::<V, L>(profile.word_row(bj), &mut ws.rows, &consts, vmax);
+    }
+    i32::from(vmax.horizontal_max()).max(0)
+}
 
-        for s in 0..segs {
-            let p = Vector::<L>::from_slice(&row[s * L..]);
-            vh = vh.adds(p);
-            let e = ws.e[s];
-            vh = vh.max(e).max(vf).max(zero);
-            vmax = vmax.max(vh);
-            ws.h_store[s] = vh;
+/// The splatted gap penalties and floors of the 16-bit kernels.
+struct WordConsts<V> {
+    open_ext: V,
+    ext: V,
+    zero: V,
+    dead: V,
+}
 
-            let h_open = vh.subs(open_ext);
-            ws.e[s] = e.subs(ext).max(h_open);
-            vf = vf.subs(ext).max(h_open);
-
-            vh = ws.h_load[s];
+impl<V: Lanes<Elem = i16>> WordConsts<V> {
+    fn new(gaps: GapPenalties) -> Self {
+        WordConsts {
+            open_ext: V::splat((gaps.open + gaps.extend) as i16),
+            ext: V::splat(gaps.extend as i16),
+            zero: V::splat(0),
+            dead: V::splat(WORD_PAD),
         }
+    }
+}
 
-        // Lazy-F: propagate the column's F across lane boundaries until
-        // it can no longer raise any H (Farrar's termination test). At
-        // most L wraps — each shift advances the chain one lane.
+/// One subject column of the 16-bit kernels against profile `row`:
+/// the striped recurrence over every segment, then the lazy-F repair.
+/// Leaves the column's H in `rows.h_store` and returns `vmax` raised
+/// by every H it computed.
+#[inline(always)]
+fn word_column<V: Lanes<Elem = i16>, const L: usize>(
+    row: &[i16],
+    rows: &mut Rows<i16>,
+    k: &WordConsts<V>,
+    mut vmax: V,
+) -> V {
+    let segs = row.len() / L;
+    // F starts dead: within-column chains that cross a lane boundary
+    // are repaired by the lazy-F loop below.
+    let mut vf = k.dead;
+    // The diagonal input of segment 0 is the previous column's last
+    // segment shifted one lane up; lane 0 gets the H[0][j-1] = 0
+    // local-alignment boundary.
+    let mut vh = V::load(&rows.h_store[(segs - 1) * L..]).shift_in_first(0);
+    std::mem::swap(&mut rows.h_store, &mut rows.h_load);
+
+    for (((p, h_out), h_in), e_row) in row
+        .chunks_exact(L)
+        .zip(rows.h_store.chunks_exact_mut(L))
+        .zip(rows.h_load.chunks_exact(L))
+        .zip(rows.e.chunks_exact_mut(L))
+    {
+        // One load replaces the anti-diagonal kernel's per-cell score
+        // gather.
+        vh = vh.adds(V::load(p));
+        let e = V::load(e_row);
+        vh = vh.max(e).max(vf).max(k.zero);
+        vmax = vmax.max(vh);
+        vh.store(h_out);
+
+        let h_open = vh.subs(k.open_ext);
+        e.subs(k.ext).max(h_open).store(e_row);
+        vf = vf.subs(k.ext).max(h_open);
+
+        vh = V::load(h_in);
+    }
+
+    lazy_f::<V, L>(rows, vf, k.open_ext, k.ext, WORD_PAD, vmax)
+}
+
+/// The deconstructed lazy-F correction (Snytsar) closing a column of
+/// either precision: `vf` is the column's last F, `dead` the lane value
+/// of a dead F. Returns `vmax` raised by every H it raised.
+///
+/// The common no-correction column is one predicate — shift, subtract,
+/// compare — with no wrap iteration and no stores. Only when it fires
+/// does the bounded wrap repair run, visiting each segment at most once
+/// per wrap under Farrar's termination test (at most L wraps). On the
+/// emulated lanes, a log2(L)-step max-plus prefix scan folding all
+/// wraps into one pass (Snytsar's formulation) benched slower: the
+/// folded F stays live across more segments than any single wrap, and
+/// emulated vectors have no branch cost for the scan to amortize. That
+/// measurement predates the SSE2 lanes and was not repeated on them.
+#[inline(always)]
+fn lazy_f<V: Lanes, const L: usize>(
+    rows: &mut Rows<V::Elem>,
+    vf: V,
+    open_ext: V,
+    ext: V,
+    dead: V::Elem,
+    mut vmax: V,
+) -> V {
+    let mut vf = vf.shift_in_first(dead);
+    if vf.any_gt(V::load(&rows.h_store).subs(open_ext)) {
         'lazy: for _ in 0..L {
-            vf = vf.shift_in_first(WORD_PAD);
-            for s in 0..segs {
-                let h = ws.h_store[s].max(vf);
-                ws.h_store[s] = h;
+            for (h_row, e_row) in rows
+                .h_store
+                .chunks_exact_mut(L)
+                .zip(rows.e.chunks_exact_mut(L))
+            {
+                let h = V::load(h_row).max(vf);
+                h.store(h_row);
                 vmax = vmax.max(h);
                 let h_open = h.subs(open_ext);
-                ws.e[s] = ws.e[s].max(h_open);
+                // A raised H can also feed next column's E.
+                V::load(e_row).max(h_open).store(e_row);
                 vf = vf.subs(ext);
                 if !vf.any_gt(h_open) {
                     break 'lazy;
                 }
             }
+            vf = vf.shift_in_first(dead);
         }
     }
-
-    i32::from(vmax.horizontal_max()).max(0)
+    vmax
 }
 
 /// Byte-precision striped Smith-Waterman against a prebuilt profile:
@@ -301,7 +313,10 @@ pub fn score_with_profile_ref<const L: usize>(
 ///
 /// Scores are biased by `profile.bias()` during the profile add, and the
 /// kernel bails out as soon as any cell comes within one matrix-maximum
-/// of the `u8` ceiling — a `Some` result is always exact.
+/// of the `u8` ceiling — a `Some` result is always exact. At `L = 16`
+/// on x86_64 this runs on SSE2 registers ([`U8x16`]); every other width
+/// and target runs the emulated [`ByteVector<L>`] through
+/// [`score_bytes_with_lanes`].
 ///
 /// # Panics
 ///
@@ -312,6 +327,28 @@ pub fn score_bytes_with_profile<const L: usize>(
     gaps: GapPenalties,
     ws: &mut ByteWorkspace<L>,
 ) -> Option<i32> {
+    #[cfg(target_arch = "x86_64")]
+    if L == U8x16::LANES {
+        return score_bytes_with_lanes::<U8x16, L>(profile, b, gaps, ws);
+    }
+    score_bytes_with_lanes::<ByteVector<L>, L>(profile, b, gaps, ws)
+}
+
+/// [`score_bytes_with_profile`] on an explicit lane type `V` with `L`
+/// lanes — the one byte kernel body, exposed so tests and benchmarks
+/// can run the SSE2 and the emulated lanes side by side.
+///
+/// # Panics
+///
+/// Panics if `V` does not have `L` lanes or the profile was built for a
+/// different byte lane count.
+pub fn score_bytes_with_lanes<V: Lanes<Elem = u8>, const L: usize>(
+    profile: &QueryProfile,
+    b: &[AminoAcid],
+    gaps: GapPenalties,
+    ws: &mut ByteWorkspace<L>,
+) -> Option<i32> {
+    assert_eq!(V::LANES, L, "lane type does not match workspace width");
     assert_eq!(
         profile.byte_lanes(),
         L,
@@ -330,157 +367,59 @@ pub fn score_bytes_with_profile<const L: usize>(
     if guard <= 0 {
         return None;
     }
+    // Any lane above this has reached the guard.
+    let over = V::splat((guard - 1).min(255) as u8);
     let segs = profile.byte_segments();
-    let bias_v = ByteVector::<L>::splat(profile.bias() as u8);
-    let open_ext = ByteVector::<L>::splat((gaps.open + gaps.extend).min(255) as u8);
-    let ext = ByteVector::<L>::splat(gaps.extend.min(255) as u8);
+    let bias_v = V::splat(profile.bias() as u8);
+    let open_ext = V::splat((gaps.open + gaps.extend).min(255) as u8);
+    let ext = V::splat(gaps.extend.min(255) as u8);
+    // Unsigned saturating subtraction floors at 0 — exactly the
+    // local-alignment zero floor, so F/E start dead at 0.
+    let zero = V::splat(0);
+    let rows = &mut ws.rows;
 
-    ws.reset(segs);
-    let mut best = 0u8;
+    rows.reset(segs * L, 0, 0);
+    let mut vmax = zero;
 
     for &bj in b {
         let row = profile.byte_row(bj).expect("byte layout checked above");
-        // Unsigned saturating subtraction floors at 0 — exactly the
-        // local-alignment zero floor, so F/E start dead at 0.
-        let mut vf = ByteVector::<L>::zero();
-        let mut vh = ws.h_store[segs - 1].shift_in_first(0);
-        std::mem::swap(&mut ws.h_store, &mut ws.h_load);
-        let mut colmax = ByteVector::<L>::zero();
+        let mut vf = zero;
+        let mut vh = V::load(&rows.h_store[(segs - 1) * L..]).shift_in_first(0);
+        std::mem::swap(&mut rows.h_store, &mut rows.h_load);
 
-        for s in 0..segs {
-            let p = ByteVector::<L>::from_slice(&row[s * L..]);
-            vh = vh.adds(p).subs(bias_v);
-            let e = ws.e[s];
+        for (((p, h_out), h_in), e_row) in row
+            .chunks_exact(L)
+            .zip(rows.h_store.chunks_exact_mut(L))
+            .zip(rows.h_load.chunks_exact(L))
+            .zip(rows.e.chunks_exact_mut(L))
+        {
+            vh = vh.adds(V::load(p)).subs(bias_v);
+            let e = V::load(e_row);
             vh = vh.max(e).max(vf);
-            colmax = colmax.max(vh);
-            ws.h_store[s] = vh;
+            vmax = vmax.max(vh);
+            vh.store(h_out);
 
             let h_open = vh.subs(open_ext);
-            ws.e[s] = e.subs(ext).max(h_open);
+            e.subs(ext).max(h_open).store(e_row);
             vf = vf.subs(ext).max(h_open);
 
-            vh = ws.h_load[s];
+            vh = V::load(h_in);
         }
 
-        // Deconstructed lazy-F, byte flavour: dead is 0 (the unsigned
-        // floor), so the same one-predicate fast path applies — and
-        // fires far more rarely than in 16-bit, because a positive F
-        // has to survive the zero floor. Spelled out inline for the
-        // same codegen reasons as the word kernel.
-        let mut vf = vf.shift_in_first(0);
-        if vf.any_gt(ws.h_store[0].subs(open_ext)) {
-            'lazy: for _ in 0..L {
-                for s in 0..segs {
-                    let h = ws.h_store[s].max(vf);
-                    ws.h_store[s] = h;
-                    colmax = colmax.max(h);
-                    let h_open = h.subs(open_ext);
-                    ws.e[s] = ws.e[s].max(h_open);
-                    vf = vf.subs(ext);
-                    if !vf.any_gt(h_open) {
-                        break 'lazy;
-                    }
-                }
-                vf = vf.shift_in_first(0);
-            }
-        }
+        // Dead is 0 here (the unsigned floor), and the correction fires
+        // far more rarely than in 16-bit, because a positive F has to
+        // survive the zero floor.
+        vmax = lazy_f::<V, L>(rows, vf, open_ext, ext, 0, vmax);
 
-        let cm = colmax.horizontal_max();
-        if cm > best {
-            best = cm;
-        }
-        if i32::from(best) >= guard {
+        // The guard check is one lane compare: some lane is above
+        // `over` exactly when the best score so far has reached the
+        // guard.
+        if vmax.any_gt(over) {
             return None; // next column could clip — rescore in 16-bit
         }
     }
 
-    Some(i32::from(best))
-}
-
-/// Pre-deconstruction byte kernel — the bit-identity oracle for
-/// [`score_bytes_with_profile`], including identical `None`
-/// (saturation) decisions. Not used by any engine.
-///
-/// # Panics
-///
-/// Panics if the profile was built for a different byte lane count.
-pub fn score_bytes_with_profile_ref<const L: usize>(
-    profile: &QueryProfile,
-    b: &[AminoAcid],
-    gaps: GapPenalties,
-    ws: &mut ByteWorkspace<L>,
-) -> Option<i32> {
-    assert_eq!(
-        profile.byte_lanes(),
-        L,
-        "profile built for {} byte lanes, kernel instantiated for {L}",
-        profile.byte_lanes()
-    );
-    if profile.query_len() == 0 || b.is_empty() {
-        return Some(0);
-    }
-    if !profile.has_bytes() {
-        return None;
-    }
-    let guard = 255 - profile.bias() - profile.max_score();
-    if guard <= 0 {
-        return None;
-    }
-    let segs = profile.byte_segments();
-    let bias_v = ByteVector::<L>::splat(profile.bias() as u8);
-    let open_ext = ByteVector::<L>::splat((gaps.open + gaps.extend).min(255) as u8);
-    let ext = ByteVector::<L>::splat(gaps.extend.min(255) as u8);
-
-    ws.reset(segs);
-    let mut best = 0u8;
-
-    for &bj in b {
-        let row = profile.byte_row(bj).expect("byte layout checked above");
-        let mut vf = ByteVector::<L>::zero();
-        let mut vh = ws.h_store[segs - 1].shift_in_first(0);
-        std::mem::swap(&mut ws.h_store, &mut ws.h_load);
-        let mut colmax = ByteVector::<L>::zero();
-
-        for s in 0..segs {
-            let p = ByteVector::<L>::from_slice(&row[s * L..]);
-            vh = vh.adds(p).subs(bias_v);
-            let e = ws.e[s];
-            vh = vh.max(e).max(vf);
-            colmax = colmax.max(vh);
-            ws.h_store[s] = vh;
-
-            let h_open = vh.subs(open_ext);
-            ws.e[s] = e.subs(ext).max(h_open);
-            vf = vf.subs(ext).max(h_open);
-
-            vh = ws.h_load[s];
-        }
-
-        'lazy: for _ in 0..L {
-            vf = vf.shift_in_first(0);
-            for s in 0..segs {
-                let h = ws.h_store[s].max(vf);
-                ws.h_store[s] = h;
-                colmax = colmax.max(h);
-                let h_open = h.subs(open_ext);
-                ws.e[s] = ws.e[s].max(h_open);
-                vf = vf.subs(ext);
-                if !vf.any_gt(h_open) {
-                    break 'lazy;
-                }
-            }
-        }
-
-        let cm = colmax.horizontal_max();
-        if cm > best {
-            best = cm;
-        }
-        if i32::from(best) >= guard {
-            return None;
-        }
-    }
-
-    Some(i32::from(best))
+    Some(i32::from(vmax.horizontal_max()))
 }
 
 /// Adaptive-precision striped search step: byte pass first (double the
@@ -538,12 +477,28 @@ pub fn score_ends_with_profile<const L: usize>(
     gaps: GapPenalties,
     ws: &mut Workspace<L>,
 ) -> ScoreEnds {
-    assert_eq!(
-        profile.word_lanes(),
-        L,
-        "profile built for {} word lanes, kernel instantiated for {L}",
-        profile.word_lanes()
-    );
+    #[cfg(target_arch = "x86_64")]
+    if L == I16x8::LANES {
+        return score_ends_with_lanes::<I16x8, L>(profile, b, gaps, ws);
+    }
+    score_ends_with_lanes::<Vector<L>, L>(profile, b, gaps, ws)
+}
+
+/// [`score_ends_with_profile`] on an explicit lane type `V` with `L`
+/// lanes, exposed so tests can run the SSE2 and the emulated lanes
+/// side by side.
+///
+/// # Panics
+///
+/// Panics if `V` does not have `L` lanes or the profile was built for a
+/// different word lane count.
+pub fn score_ends_with_lanes<V: Lanes<Elem = i16>, const L: usize>(
+    profile: &QueryProfile,
+    b: &[AminoAcid],
+    gaps: GapPenalties,
+    ws: &mut Workspace<L>,
+) -> ScoreEnds {
+    check_word_lanes::<V, L>(profile);
     let mut ends = ScoreEnds {
         score: 0,
         query_end: 0,
@@ -554,55 +509,14 @@ pub fn score_ends_with_profile<const L: usize>(
     }
     let m = profile.query_len();
     let segs = profile.word_segments();
-    let open_ext = Vector::<L>::splat((gaps.open + gaps.extend) as i16);
-    let ext = Vector::<L>::splat(gaps.extend as i16);
-    let zero = Vector::<L>::zero();
-    let neg = Vector::<L>::splat(WORD_PAD);
-
-    ws.reset(segs);
-    let mut vmax = zero;
-    let mut best_v = zero;
+    let consts = WordConsts::new(gaps);
+    let rows = &mut ws.rows;
+    rows.reset(segs * L, 0, WORD_PAD);
+    let mut vmax = consts.zero;
+    let mut best_v = consts.zero;
 
     for (j, &bj) in b.iter().enumerate() {
-        let row = profile.word_row(bj);
-        let mut vf = neg;
-        let mut vh = ws.h_store[segs - 1].shift_in_first(0);
-        std::mem::swap(&mut ws.h_store, &mut ws.h_load);
-
-        for s in 0..segs {
-            let p = Vector::<L>::from_slice(&row[s * L..]);
-            vh = vh.adds(p);
-            let e = ws.e[s];
-            vh = vh.max(e).max(vf).max(zero);
-            vmax = vmax.max(vh);
-            ws.h_store[s] = vh;
-
-            let h_open = vh.subs(open_ext);
-            ws.e[s] = e.subs(ext).max(h_open);
-            vf = vf.subs(ext).max(h_open);
-
-            vh = ws.h_load[s];
-        }
-
-        // Same deconstructed correction as `score_with_profile`; see
-        // the comment there for why it is spelled out inline.
-        let mut vf = vf.shift_in_first(WORD_PAD);
-        if vf.any_gt(ws.h_store[0].subs(open_ext)) {
-            'lazy: for _ in 0..L {
-                for s in 0..segs {
-                    let h = ws.h_store[s].max(vf);
-                    ws.h_store[s] = h;
-                    vmax = vmax.max(h);
-                    let h_open = h.subs(open_ext);
-                    ws.e[s] = ws.e[s].max(h_open);
-                    vf = vf.subs(ext);
-                    if !vf.any_gt(h_open) {
-                        break 'lazy;
-                    }
-                }
-                vf = vf.shift_in_first(WORD_PAD);
-            }
-        }
+        vmax = word_column::<V, L>(profile.word_row(bj), rows, &consts, vmax);
 
         // Endpoint tracking: a strict improvement pins this column;
         // the lane-outer / segment-inner sweep visits cells in
@@ -610,16 +524,16 @@ pub fn score_ends_with_profile<const L: usize>(
         // query index. Padding cells can never attain a new best —
         // their H descends (gap-penalised) from a real cell already
         // folded into the running best.
-        let mut colv = ws.h_store[0];
-        for s in 1..segs {
-            colv = colv.max(ws.h_store[s]);
-        }
+        let colv = rows
+            .h_store
+            .chunks_exact(L)
+            .fold(consts.zero, |acc, h| acc.max(V::load(h)));
         if colv.any_gt(best_v) {
             let col_best = colv.horizontal_max();
-            best_v = Vector::<L>::splat(col_best);
+            best_v = V::splat(col_best);
             'find: for k in 0..L {
                 for s in 0..segs {
-                    if ws.h_store[s].extract(k) == col_best {
+                    if rows.h_store[s * L + k] == col_best {
                         let q = k * segs + s;
                         if q < m {
                             ends.query_end = q;
@@ -796,8 +710,10 @@ mod tests {
 
     #[test]
     fn deconstructed_matches_reference_kernel() {
+        // The emulated lanes are the reference for the production
+        // lanes (SSE2 on x86_64); cheap gaps force real cross-lane
+        // corrections.
         let m = bl62();
-        // Cheap gaps force real cross-lane corrections.
         let g = GapPenalties::new(2, 1);
         let a = seq("ACDEFGHIKLMNPQRSTVWYACDEFGHIKL");
         let b = seq("ACDEFGPQRSTVWYACDEFGHIKL");
@@ -806,13 +722,17 @@ mod tests {
         let mut ws_ref = Workspace::<8>::new();
         assert_eq!(
             score_with_profile::<8>(&profile, &b, g, &mut ws),
-            score_with_profile_ref::<8>(&profile, &b, g, &mut ws_ref),
+            score_with_lanes::<Vector<8>, 8>(&profile, &b, g, &mut ws_ref),
+        );
+        assert_eq!(
+            score_ends_with_profile::<8>(&profile, &b, g, &mut ws),
+            score_ends_with_lanes::<Vector<8>, 8>(&profile, &b, g, &mut ws_ref),
         );
         let mut bws = ByteWorkspace::<16>::new();
         let mut bws_ref = ByteWorkspace::<16>::new();
         assert_eq!(
             score_bytes_with_profile::<16>(&profile, &b, g, &mut bws),
-            score_bytes_with_profile_ref::<16>(&profile, &b, g, &mut bws_ref),
+            score_bytes_with_lanes::<ByteVector<16>, 16>(&profile, &b, g, &mut bws_ref),
         );
     }
 

@@ -14,9 +14,10 @@
 use sapa_align::engine::{Engine, Prefilter, SearchRequest};
 use sapa_align::{banded, blast, fasta, nw, simd_sw, striped, sw, xdrop};
 use sapa_bioseq::matrix::GapPenalties;
-use sapa_bioseq::profile::QueryProfile;
+use sapa_bioseq::profile::{QueryProfile, WORD_PAD};
 use sapa_bioseq::rng::Xoshiro256;
 use sapa_bioseq::{AminoAcid, SubstitutionMatrix};
+use sapa_vsimd::{ByteVector, Vector};
 
 const CASES: usize = 96;
 
@@ -440,11 +441,148 @@ fn xdrop_monotone_in_x_and_bounded_by_local() {
     }
 }
 
-/// The deconstructed lazy-F kernels (early-exit + prefix-scan
-/// correction) must be *bit-identical* to the pre-rework reference
-/// kernels kept in-tree as oracles — same scores as scalar SW for the
-/// word pass, and the exact same `Option` (including the overflow
-/// `None` decisions) for the byte pass.
+/// Pre-deconstruction 16-bit striped kernel: Farrar's original
+/// wrap-until-break lazy-F loop over emulated lanes, the bit-identity
+/// oracle for the deconstructed `striped::score_with_profile`.
+fn score_with_profile_ref<const L: usize>(
+    profile: &QueryProfile,
+    b: &[AminoAcid],
+    gaps: GapPenalties,
+) -> i32 {
+    assert_eq!(profile.word_lanes(), L);
+    if profile.query_len() == 0 || b.is_empty() {
+        return 0;
+    }
+    let segs = profile.word_segments();
+    let open_ext = Vector::<L>::splat((gaps.open + gaps.extend) as i16);
+    let ext = Vector::<L>::splat(gaps.extend as i16);
+    let zero = Vector::<L>::zero();
+    let neg = Vector::<L>::splat(WORD_PAD);
+    let mut h_store = vec![zero; segs];
+    let mut h_load = vec![zero; segs];
+    let mut e = vec![neg; segs];
+    let mut vmax = zero;
+
+    for &bj in b {
+        let row = profile.word_row(bj);
+        let mut vf = neg;
+        let mut vh = h_store[segs - 1].shift_in_first(0);
+        std::mem::swap(&mut h_store, &mut h_load);
+
+        for s in 0..segs {
+            let p = Vector::<L>::from_slice(&row[s * L..]);
+            vh = vh.adds(p);
+            vh = vh.max(e[s]).max(vf).max(zero);
+            vmax = vmax.max(vh);
+            h_store[s] = vh;
+
+            let h_open = vh.subs(open_ext);
+            e[s] = e[s].subs(ext).max(h_open);
+            vf = vf.subs(ext).max(h_open);
+
+            vh = h_load[s];
+        }
+
+        // Lazy-F: propagate the column's F across lane boundaries until
+        // it can no longer raise any H (Farrar's termination test). At
+        // most L wraps — each shift advances the chain one lane.
+        'lazy: for _ in 0..L {
+            vf = vf.shift_in_first(WORD_PAD);
+            for s in 0..segs {
+                let h = h_store[s].max(vf);
+                h_store[s] = h;
+                vmax = vmax.max(h);
+                let h_open = h.subs(open_ext);
+                e[s] = e[s].max(h_open);
+                vf = vf.subs(ext);
+                if !vf.any_gt(h_open) {
+                    break 'lazy;
+                }
+            }
+        }
+    }
+
+    i32::from(vmax.horizontal_max()).max(0)
+}
+
+/// Pre-deconstruction byte kernel over emulated lanes — the
+/// bit-identity oracle for `striped::score_bytes_with_profile`,
+/// including identical `None` (saturation) decisions.
+fn score_bytes_with_profile_ref<const L: usize>(
+    profile: &QueryProfile,
+    b: &[AminoAcid],
+    gaps: GapPenalties,
+) -> Option<i32> {
+    assert_eq!(profile.byte_lanes(), L);
+    if profile.query_len() == 0 || b.is_empty() {
+        return Some(0);
+    }
+    if !profile.has_bytes() {
+        return None;
+    }
+    let guard = 255 - profile.bias() - profile.max_score();
+    if guard <= 0 {
+        return None;
+    }
+    let segs = profile.byte_segments();
+    let bias_v = ByteVector::<L>::splat(profile.bias() as u8);
+    let open_ext = ByteVector::<L>::splat((gaps.open + gaps.extend).min(255) as u8);
+    let ext = ByteVector::<L>::splat(gaps.extend.min(255) as u8);
+    let zero = ByteVector::<L>::zero();
+    let mut h_store = vec![zero; segs];
+    let mut h_load = vec![zero; segs];
+    let mut e = vec![zero; segs];
+    let mut best = 0u8;
+
+    for &bj in b {
+        let row = profile.byte_row(bj).expect("byte layout checked above");
+        let mut vf = zero;
+        let mut vh = h_store[segs - 1].shift_in_first(0);
+        std::mem::swap(&mut h_store, &mut h_load);
+        let mut colmax = zero;
+
+        for s in 0..segs {
+            let p = ByteVector::<L>::from_slice(&row[s * L..]);
+            vh = vh.adds(p).subs(bias_v);
+            vh = vh.max(e[s]).max(vf);
+            colmax = colmax.max(vh);
+            h_store[s] = vh;
+
+            let h_open = vh.subs(open_ext);
+            e[s] = e[s].subs(ext).max(h_open);
+            vf = vf.subs(ext).max(h_open);
+
+            vh = h_load[s];
+        }
+
+        'lazy: for _ in 0..L {
+            vf = vf.shift_in_first(0);
+            for s in 0..segs {
+                let h = h_store[s].max(vf);
+                h_store[s] = h;
+                colmax = colmax.max(h);
+                let h_open = h.subs(open_ext);
+                e[s] = e[s].max(h_open);
+                vf = vf.subs(ext);
+                if !vf.any_gt(h_open) {
+                    break 'lazy;
+                }
+            }
+        }
+
+        best = best.max(colmax.horizontal_max());
+        if i32::from(best) >= guard {
+            return None;
+        }
+    }
+
+    Some(i32::from(best))
+}
+
+/// The deconstructed lazy-F kernels (early-exit correction) must be
+/// *bit-identical* to the pre-rework reference kernels above — same
+/// scores as scalar SW for the word pass, and the exact same `Option`
+/// (including the overflow `None` decisions) for the byte pass.
 #[test]
 fn deconstructed_lazy_f_is_bit_identical_to_reference() {
     let m = SubstitutionMatrix::blosum62();
@@ -472,26 +610,26 @@ fn deconstructed_lazy_f_is_bit_identical_to_reference() {
         let p256 = QueryProfile::build(&a, &m, 16);
 
         let new = striped::score_with_profile::<8>(&p128, &b, g, &mut ws8);
-        let old = striped::score_with_profile_ref::<8>(&p128, &b, g, &mut ws8);
+        let old = score_with_profile_ref::<8>(&p128, &b, g);
         assert_eq!(new, old, "word L=8 case {case}");
         assert_eq!(new, expect, "word L=8 vs scalar case {case}");
 
         let new = striped::score_with_profile::<16>(&p256, &b, g, &mut ws16);
-        let old = striped::score_with_profile_ref::<16>(&p256, &b, g, &mut ws16);
+        let old = score_with_profile_ref::<16>(&p256, &b, g);
         assert_eq!(new, old, "word L=16 case {case}");
         assert_eq!(new, expect, "word L=16 vs scalar case {case}");
 
         // Byte pass: Option equality — both kernels must make the same
         // overflow call, and agree with scalar when they answer.
         let new = striped::score_bytes_with_profile::<16>(&p128, &b, g, &mut bws16);
-        let old = striped::score_bytes_with_profile_ref::<16>(&p128, &b, g, &mut bws16);
+        let old = score_bytes_with_profile_ref::<16>(&p128, &b, g);
         assert_eq!(new, old, "byte LB=16 case {case}");
         if let Some(s) = new {
             assert_eq!(s, expect, "byte LB=16 vs scalar case {case}");
         }
 
         let new = striped::score_bytes_with_profile::<32>(&p256, &b, g, &mut bws32);
-        let old = striped::score_bytes_with_profile_ref::<32>(&p256, &b, g, &mut bws32);
+        let old = score_bytes_with_profile_ref::<32>(&p256, &b, g);
         assert_eq!(new, old, "byte LB=32 case {case}");
         if let Some(s) = new {
             assert_eq!(s, expect, "byte LB=32 vs scalar case {case}");
@@ -582,6 +720,287 @@ fn word_index_entries_meet_threshold() {
                 let c = [word / 400, (word / 20) % 20, word % 20];
                 let score: i32 = (0..3).map(|k| m.score_by_index(q[k].index(), c[k])).sum();
                 assert!(score >= t, "case {case}");
+            }
+        }
+    }
+}
+
+/// The SSE2 lanes the 128-bit kernels run on must agree bit for bit
+/// with their emulated twins, op by op: random lanes plus the edge
+/// values the kernels feed them (`WORD_PAD`, saturation bounds, bytes
+/// above 127, where a signed compare would answer wrongly).
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn sse2_lane_ops_match_emulated_twins() {
+    use sapa_vsimd::sse2::{I16x8, U8x16};
+    use sapa_vsimd::Lanes;
+
+    fn words<V: Lanes<Elem = i16>>(v: V) -> [i16; 8] {
+        let mut out = [0; 8];
+        v.store(&mut out);
+        out
+    }
+    fn bytes<V: Lanes<Elem = u8>>(v: V) -> [u8; 16] {
+        let mut out = [0; 16];
+        v.store(&mut out);
+        out
+    }
+
+    let mut rng = Xoshiro256::new(0x55E2);
+    let word_edges = [
+        i16::MIN,
+        i16::MIN + 1,
+        WORD_PAD,
+        -1,
+        0,
+        1,
+        i16::MAX - 1,
+        i16::MAX,
+    ];
+    let byte_edges = [0u8, 1, 126, 127, 128, 129, 200, 254, 255];
+    for case in 0..CASES * 8 {
+        // Half the lanes random, half edge values.
+        let pick_word = |rng: &mut Xoshiro256| {
+            if rng.next_below(2) == 0 {
+                word_edges[rng.next_below(word_edges.len() as u64) as usize]
+            } else {
+                rng.next_below(1 << 16) as u16 as i16
+            }
+        };
+        let a: [i16; 8] = std::array::from_fn(|_| pick_word(&mut rng));
+        let b: [i16; 8] = std::array::from_fn(|_| pick_word(&mut rng));
+        let fill = if case % 2 == 0 { WORD_PAD } else { a[0] };
+        let (sa, sb) = (I16x8::load(&a), I16x8::load(&b));
+        let (ea, eb) = (Vector::<8>::from_array(a), Vector::<8>::from_array(b));
+        assert_eq!(words(sa), a, "load/store case {case}");
+        assert_eq!(words(I16x8::splat(fill)), words(Vector::<8>::splat(fill)));
+        assert_eq!(
+            words(sa.adds(sb)),
+            ea.adds(eb).to_array(),
+            "adds case {case}"
+        );
+        assert_eq!(
+            words(sa.subs(sb)),
+            ea.subs(eb).to_array(),
+            "subs case {case}"
+        );
+        assert_eq!(words(sa.max(sb)), ea.max(eb).to_array(), "max case {case}");
+        assert_eq!(sa.any_gt(sb), ea.any_gt(eb), "any_gt case {case}");
+        assert!(!sa.any_gt(sa), "any_gt self case {case}");
+        assert_eq!(
+            words(sa.shift_in_first(fill)),
+            ea.shift_in_first(fill).to_array(),
+            "shift_in_first case {case}"
+        );
+        assert_eq!(sa.horizontal_max(), ea.horizontal_max(), "hmax case {case}");
+
+        let pick_byte = |rng: &mut Xoshiro256| {
+            if rng.next_below(2) == 0 {
+                byte_edges[rng.next_below(byte_edges.len() as u64) as usize]
+            } else {
+                rng.next_below(256) as u8
+            }
+        };
+        let a: [u8; 16] = std::array::from_fn(|_| pick_byte(&mut rng));
+        let b: [u8; 16] = std::array::from_fn(|_| pick_byte(&mut rng));
+        let fill = if case % 2 == 0 { 0 } else { a[0] };
+        let (sa, sb) = (U8x16::load(&a), U8x16::load(&b));
+        let (ea, eb) = (
+            ByteVector::<16>::from_array(a),
+            ByteVector::<16>::from_array(b),
+        );
+        assert_eq!(bytes(sa), a, "load/store case {case}");
+        assert_eq!(
+            bytes(U8x16::splat(a[1])),
+            bytes(ByteVector::<16>::splat(a[1]))
+        );
+        assert_eq!(
+            bytes(sa.adds(sb)),
+            ea.adds(eb).to_array(),
+            "adds case {case}"
+        );
+        assert_eq!(
+            bytes(sa.subs(sb)),
+            ea.subs(eb).to_array(),
+            "subs case {case}"
+        );
+        assert_eq!(bytes(sa.max(sb)), ea.max(eb).to_array(), "max case {case}");
+        assert_eq!(sa.any_gt(sb), ea.any_gt(eb), "any_gt case {case}");
+        assert_eq!(
+            bytes(sa.shift_in_first(fill)),
+            ea.shift_in_first(fill).to_array(),
+            "shift_in_first case {case}"
+        );
+        assert_eq!(sa.horizontal_max(), ea.horizontal_max(), "hmax case {case}");
+    }
+    // One lane above 127 against 127 everywhere: only an unsigned
+    // compare sees it.
+    let mut hi = [127u8; 16];
+    hi[9] = 200;
+    assert!(U8x16::load(&hi).any_gt(U8x16::splat(127)));
+    assert!(!U8x16::splat(127).any_gt(U8x16::load(&hi)));
+}
+
+/// The production kernels (SSE2 lanes on x86_64) and the same kernel
+/// bodies on emulated lanes return identical scores, end cells and
+/// byte-pass `None` decisions: paper and cheap gaps (cheap gaps make
+/// lazy-F fire), queries from one residue to several segments, subjects
+/// on both sides of the byte saturation guard, one workspace per
+/// backend reused across every subject.
+#[test]
+fn sse2_kernels_are_bit_identical_to_emulated_lanes() {
+    let m = SubstitutionMatrix::blosum62();
+    let mut rng = Xoshiro256::new(0x5E2E);
+    let mut ws = striped::Workspace::<8>::new();
+    let mut ws_emu = striped::Workspace::<8>::new();
+    let mut bws = striped::ByteWorkspace::<16>::new();
+    let mut bws_emu = striped::ByteWorkspace::<16>::new();
+    let (mut overflowed, mut answered) = (0, 0);
+    for case in 0..CASES {
+        // 1 residue up to 8 word segments (64 residues) and beyond.
+        let qlen = 1 + case * 80 / CASES;
+        let query: Vec<AminoAcid> = if case % 2 == 0 {
+            (0..qlen).map(|_| residue(&mut rng)).collect()
+        } else {
+            let mut q = gappy_protein(&mut rng, 2 * qlen);
+            q.push(residue(&mut rng));
+            q
+        };
+        let g = if case % 2 == 0 {
+            GapPenalties::paper()
+        } else {
+            GapPenalties::new(2, 1)
+        };
+        let profile = QueryProfile::build(&query, &m, 8);
+        // Random decoys, gappy subjects, and copies of the query —
+        // a long self-match crosses the byte guard, a short one not.
+        let mut near = query.clone();
+        if !near.is_empty() {
+            let at = rng.next_below(near.len() as u64) as usize;
+            near[at] = residue(&mut rng);
+        }
+        let subjects = [
+            protein(&mut rng, 90),
+            gappy_protein(&mut rng, 90),
+            query.clone(),
+            near,
+            [query.clone(), protein(&mut rng, 20), query.clone()].concat(),
+        ];
+        for (k, b) in subjects.iter().enumerate() {
+            let expect = sw::score(&query, b, &m, g);
+            let word = striped::score_with_profile::<8>(&profile, b, g, &mut ws);
+            let word_emu = striped::score_with_lanes::<Vector<8>, 8>(&profile, b, g, &mut ws_emu);
+            assert_eq!(word, word_emu, "word case {case} subject {k}");
+            assert_eq!(word, expect, "word vs scalar case {case} subject {k}");
+
+            let ends = striped::score_ends_with_profile::<8>(&profile, b, g, &mut ws);
+            let ends_emu =
+                striped::score_ends_with_lanes::<Vector<8>, 8>(&profile, b, g, &mut ws_emu);
+            assert_eq!(ends, ends_emu, "ends case {case} subject {k}");
+
+            let byte = striped::score_bytes_with_profile::<16>(&profile, b, g, &mut bws);
+            let byte_emu =
+                striped::score_bytes_with_lanes::<ByteVector<16>, 16>(&profile, b, g, &mut bws_emu);
+            assert_eq!(byte, byte_emu, "byte case {case} subject {k}");
+            match byte {
+                Some(s) => {
+                    assert_eq!(s, expect, "byte vs scalar case {case} subject {k}");
+                    answered += 1;
+                }
+                None => overflowed += 1,
+            }
+        }
+    }
+    // Both sides of the saturation guard were exercised.
+    assert!(
+        overflowed > 20 && answered > 100,
+        "{overflowed} / {answered}"
+    );
+}
+
+/// `Engine::Striped` (SSE2 lanes on x86_64) returns the same ranked
+/// hits, statistics and rescore count as the same engine on emulated
+/// lanes.
+#[test]
+fn striped_engine_matches_an_emulated_lanes_engine() {
+    use sapa_align::engine::{search_with, AlignmentEngine};
+    use sapa_bioseq::db::DatabaseBuilder;
+    use sapa_bioseq::queries::QuerySet;
+
+    /// `StripedEngine::<16, 8>`'s scoring, on emulated lanes.
+    struct EmulatedStriped {
+        profile: QueryProfile,
+        gaps: GapPenalties,
+    }
+
+    #[derive(Default)]
+    struct Scratch {
+        bytes: striped::ByteWorkspace<16>,
+        words: striped::Workspace<8>,
+        rescored: usize,
+    }
+
+    impl AlignmentEngine for EmulatedStriped {
+        type Workspace = Scratch;
+
+        fn name(&self) -> &'static str {
+            "striped"
+        }
+
+        fn workspace(&self) -> Scratch {
+            Scratch::default()
+        }
+
+        fn score_one(&self, ws: &mut Scratch, subject: &[AminoAcid]) -> i32 {
+            let (p, g) = (&self.profile, self.gaps);
+            striped::score_bytes_with_lanes::<ByteVector<16>, 16>(p, subject, g, &mut ws.bytes)
+                .unwrap_or_else(|| {
+                    ws.rescored += 1;
+                    striped::score_with_lanes::<Vector<8>, 8>(p, subject, g, &mut ws.words)
+                })
+        }
+
+        fn rescored(&self, ws: &Scratch) -> usize {
+            ws.rescored
+        }
+    }
+
+    let m = SubstitutionMatrix::blosum62();
+    let queries = QuerySet::paper();
+    for (accession, seed) in [("P02232", 31), ("P14942", 32)] {
+        let query = queries.by_accession(accession).unwrap();
+        let db = DatabaseBuilder::new()
+            .seed(seed)
+            .sequences(60)
+            .median_length(120.0)
+            .homolog_template(query.clone())
+            .homolog_fraction(0.25)
+            .build();
+        let slices: Vec<&[AminoAcid]> = db.iter().map(|s| s.residues()).collect();
+        for gaps in [GapPenalties::paper(), GapPenalties::new(2, 1)] {
+            let req = SearchRequest {
+                query: query.residues(),
+                matrix: &m,
+                gaps,
+                top_k: 25,
+                min_score: 1,
+                deadline: None,
+                report_alignments: false,
+                prefilter: Prefilter::Off,
+            };
+            let emulated = EmulatedStriped {
+                profile: QueryProfile::build(query.residues(), &m, 8),
+                gaps,
+            };
+            for threads in [1, 3] {
+                let sse2 = Engine::Striped.search(&req, &slices, threads);
+                let emu = search_with(Engine::Striped, &emulated, &req, &slices, threads);
+                assert!(
+                    sse2.stats.rescored > 0,
+                    "{accession}: no subject overflowed"
+                );
+                assert_eq!(sse2.stats.rescored, emu.stats.rescored, "{accession}");
+                assert_eq!(sse2, emu, "{accession} threads {threads}");
             }
         }
     }

@@ -5,11 +5,12 @@
 //!
 //! * `striped_kernels` — single-pair throughput of every SW machine at
 //!   both register widths: scalar Gotoh, lazy-F SSEARCH, anti-diagonal
-//!   `simd_sw`, striped 16-bit words (deconstructed lazy-F and the
-//!   pre-rework `_ref` kernel), and the adaptive 8-bit byte pass with
-//!   16-bit rescore. The `_cheapgap` pairs rerun the word kernels
-//!   under `open=2, extend=1`, where lazy-F corrections actually fire
-//!   and the deconstructed correction has to earn its keep;
+//!   `simd_sw`, striped 16-bit words, and the adaptive 8-bit byte pass
+//!   with 16-bit rescore. At the 128-bit width the production kernels
+//!   run on SSE2 lanes on x86_64; the `_emulated` rows run the same
+//!   kernel bodies on the emulated vectors in the same process, for the
+//!   word and the byte kernel. The `_cheapgap` row reruns the word
+//!   kernel under `open=2, extend=1`, where lazy-F corrections fire;
 //! * `striped_traceback` — what full alignment output costs on top of
 //!   the score-only scan: `score_only` vs the end-tracking pass vs the
 //!   complete three-pass traceback (ends + reversed pass + banded
@@ -20,14 +21,15 @@
 //!   `parallel::engine_scores` API).
 //!
 //! Outside `--test` mode the run writes `BENCH_striped.json` at the
-//! repository root with every median plus derived speedups, including
-//! `lazyf_deconstructed_speedup` (pre-rework kernel vs deconstructed)
-//! and `traceback_overhead` (full three-pass alignment vs score-only).
+//! repository root with every median plus derived ratios, including
+//! `sse2_vs_emulated_bytes`/`sse2_vs_emulated_words` (emulated median
+//! over SSE2 median, same run) and `traceback_overhead` (full
+//! three-pass alignment vs score-only).
 //!
 //! `--smoke` runs a cut-down variant for CI: fewer samples, no scan
 //! group, output to `BENCH_striped_smoke.json` (gitignored) — enough
-//! for the CI throughput gate to compare against the committed
-//! baseline without minutes of benchmarking.
+//! for the CI gate on the same-run SSE2/emulated byte-kernel ratio
+//! without minutes of benchmarking.
 
 use sapa_bench::harness::{Criterion, Throughput};
 use sapa_bench::{bench_db, bench_query, slices};
@@ -36,6 +38,7 @@ use sapa_core::align::striped::{self, ByteWorkspace, Workspace};
 use sapa_core::align::{parallel, simd_sw, sw, traceback};
 use sapa_core::bioseq::matrix::GapPenalties;
 use sapa_core::bioseq::{QueryProfile, SubstitutionMatrix};
+use sapa_core::vsimd::{ByteVector, Vector};
 
 fn kernels(c: &mut Criterion) {
     let matrix = SubstitutionMatrix::blosum62();
@@ -69,35 +72,26 @@ fn kernels(c: &mut Criterion) {
     group.bench_function("striped_w16_vmx128", |b| {
         b.iter(|| striped::score_with_profile::<8>(&p128, subject, gaps, &mut ws8))
     });
-    group.bench_function("striped_w16_vmx128_ref", |b| {
-        b.iter(|| striped::score_with_profile_ref::<8>(&p128, subject, gaps, &mut ws8))
+    group.bench_function("striped_w16_vmx128_emulated", |b| {
+        b.iter(|| striped::score_with_lanes::<Vector<8>, 8>(&p128, subject, gaps, &mut ws8))
     });
     let mut ws16 = Workspace::<16>::new();
     group.bench_function("striped_w16_vmx256", |b| {
         b.iter(|| striped::score_with_profile::<16>(&p256, subject, gaps, &mut ws16))
     });
-    group.bench_function("striped_w16_vmx256_ref", |b| {
-        b.iter(|| striped::score_with_profile_ref::<16>(&p256, subject, gaps, &mut ws16))
-    });
-    // Cheap gaps make lazy-F corrections frequent instead of rare —
-    // the regime where the deconstructed correction's bounded pass
-    // replaces the reference kernel's O(segs) re-loops.
+    // Cheap gaps make lazy-F corrections frequent instead of rare.
     group.bench_function("striped_w16_vmx128_cheapgap", |b| {
         b.iter(|| striped::score_with_profile::<8>(&p128, subject, cheap, &mut ws8))
     });
-    group.bench_function("striped_w16_vmx128_ref_cheapgap", |b| {
-        b.iter(|| striped::score_with_profile_ref::<8>(&p128, subject, cheap, &mut ws8))
-    });
-    // Direct byte-kernel pair: the engines' production scan path, and
-    // the regime where the hoisted early-exit pays — the unsigned
-    // floor keeps F dead on most columns, so the reference kernel's
-    // mandatory first wrap iteration is almost always wasted work.
+    // Direct byte-kernel pair: the engines' production scan path.
     let mut bws16d = ByteWorkspace::<16>::new();
     group.bench_function("striped_b8_vmx128", |b| {
         b.iter(|| striped::score_bytes_with_profile::<16>(&p128, subject, gaps, &mut bws16d))
     });
-    group.bench_function("striped_b8_vmx128_ref", |b| {
-        b.iter(|| striped::score_bytes_with_profile_ref::<16>(&p128, subject, gaps, &mut bws16d))
+    group.bench_function("striped_b8_vmx128_emulated", |b| {
+        b.iter(|| {
+            striped::score_bytes_with_lanes::<ByteVector<16>, 16>(&p128, subject, gaps, &mut bws16d)
+        })
     });
     let mut bws16 = ByteWorkspace::<16>::new();
     let mut ws8b = Workspace::<8>::new();
@@ -229,15 +223,13 @@ fn write_json(c: &Criterion, path: &str) {
     let speedup = |fast: &str, slow: &str| ratio("striped_kernels", fast, slow);
     let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"striped\",\n  \"query\": \"GST-222aa\",\n  \"host_cpus\": {cpus},\n  \"results\": [\n{entries}\n  ],\n  \"derived\": {{\n    \"speedup_striped_w16_vs_anti_diagonal_vmx128\": {},\n    \"speedup_striped_w16_vs_anti_diagonal_vmx256\": {},\n    \"speedup_striped_adaptive_vs_anti_diagonal_vmx128\": {},\n    \"speedup_striped_w16_vs_scalar_vmx128\": {},\n    \"lazyf_deconstructed_speedup\": {},\n    \"lazyf_deconstructed_speedup_vmx256\": {},\n    \"lazyf_deconstructed_speedup_cheapgap\": {},\n    \"lazyf_deconstructed_speedup_bytes\": {},\n    \"traceback_overhead\": {}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"striped\",\n  \"query\": \"GST-222aa\",\n  \"host_cpus\": {cpus},\n  \"results\": [\n{entries}\n  ],\n  \"derived\": {{\n    \"speedup_striped_w16_vs_anti_diagonal_vmx128\": {},\n    \"speedup_striped_w16_vs_anti_diagonal_vmx256\": {},\n    \"speedup_striped_adaptive_vs_anti_diagonal_vmx128\": {},\n    \"speedup_striped_w16_vs_scalar_vmx128\": {},\n    \"sse2_vs_emulated_bytes\": {},\n    \"sse2_vs_emulated_words\": {},\n    \"traceback_overhead\": {}\n  }}\n}}\n",
         speedup("striped_w16_vmx128", "anti_diagonal_vmx128"),
         speedup("striped_w16_vmx256", "anti_diagonal_vmx256"),
         speedup("striped_b8_adaptive_vmx128", "anti_diagonal_vmx128"),
         speedup("striped_w16_vmx128", "scalar_gotoh"),
-        speedup("striped_w16_vmx128", "striped_w16_vmx128_ref"),
-        speedup("striped_w16_vmx256", "striped_w16_vmx256_ref"),
-        speedup("striped_w16_vmx128_cheapgap", "striped_w16_vmx128_ref_cheapgap"),
-        speedup("striped_b8_vmx128", "striped_b8_vmx128_ref"),
+        speedup("striped_b8_vmx128", "striped_b8_vmx128_emulated"),
+        speedup("striped_w16_vmx128", "striped_w16_vmx128_emulated"),
         ratio("striped_traceback", "score_only", "full_align"),
     );
     match std::fs::write(path, json) {

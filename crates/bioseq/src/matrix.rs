@@ -108,6 +108,12 @@ impl SubstitutionMatrix {
         self.name
     }
 
+    /// The score table, indexed `[a.index()][b.index()]` — what two
+    /// matrices must share to score alike, whatever their names.
+    pub fn table(&self) -> &[[i8; N]; N] {
+        &self.scores
+    }
+
     /// Score for aligning residues `a` and `b`.
     #[inline]
     pub fn score(&self, a: AminoAcid, b: AminoAcid) -> i32 {

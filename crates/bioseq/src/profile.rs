@@ -212,16 +212,21 @@ impl QueryProfile {
     }
 }
 
+/// (query residue indices, matrix score table, word lane count).
+type ProfileKey = (Vec<u8>, [[i8; AminoAcid::COUNT]; AminoAcid::COUNT], usize);
+
 /// Memoizes [`QueryProfile`]s across searches.
 ///
-/// Keyed by (query residues, matrix name, word lane count); returns
+/// Keyed by (query residues, matrix score table, word lane count) —
+/// the table, not the name, because distinct matrices share names
+/// (every [`SubstitutionMatrix::uniform`] is `"uniform"`). Returns
 /// shared [`Arc`]s so concurrent searches can hold the same profile.
 /// The search driver keeps one of these so repeated searches with the
 /// same query (the common server pattern) skip profile construction
 /// entirely.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
-    map: HashMap<(Vec<u8>, &'static str, usize), Arc<QueryProfile>>,
+    map: HashMap<ProfileKey, Arc<QueryProfile>>,
 }
 
 impl ProfileCache {
@@ -240,7 +245,7 @@ impl ProfileCache {
     ) -> Arc<QueryProfile> {
         let key = (
             query.iter().map(|a| a.index() as u8).collect::<Vec<u8>>(),
-            matrix.name(),
+            *matrix.table(),
             word_lanes,
         );
         self.map
@@ -346,5 +351,22 @@ mod tests {
         let d = cache.get_or_build(&q, &u, 8);
         assert!(!Arc::ptr_eq(&a, &d));
         assert_eq!(cache.len(), 3);
+    }
+
+    #[test]
+    fn cache_keys_on_scores_not_matrix_names() {
+        // Both matrices are named "uniform"; each must get a profile of
+        // its own scores.
+        let q = seq("MKWVTFISLLFLFSSAYS");
+        let mut cache = ProfileCache::new();
+        let strict = SubstitutionMatrix::uniform(5, -4);
+        let mild = SubstitutionMatrix::uniform(2, -1);
+        assert_eq!(strict.name(), mild.name());
+        let a = cache.get_or_build(&q, &strict, 8);
+        let b = cache.get_or_build(&q, &mild, 8);
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(cache.len(), 2);
+        assert_eq!(*b, QueryProfile::build(&q, &mild, 8));
+        assert!(Arc::ptr_eq(&a, &cache.get_or_build(&q, &strict, 8)));
     }
 }

@@ -1,4 +1,5 @@
-//! Emulated Altivec-style SIMD vectors.
+//! Altivec-style SIMD vectors: emulated lanes, plus real SSE2 registers
+//! on x86_64.
 //!
 //! The paper's `SW_vmx128` workload uses the real Altivec extension
 //! (128-bit registers, eight 16-bit lanes for Smith-Waterman scores);
@@ -13,6 +14,12 @@
 //! instrumented workloads separately emit the corresponding `vsimple`/
 //! `vperm` trace instructions.
 //!
+//! [`Lanes`] names the operations the striped Smith-Waterman kernels
+//! use. The emulated [`Vector`]/[`ByteVector`] implement it, and so do
+//! the `__m128i`-backed [`sse2`] types on x86_64, which the striped
+//! kernels run on at the 128-bit width; the emulated types stay the
+//! oracle they are tested against.
+//!
 //! ```
 //! use sapa_vsimd::V128;
 //!
@@ -21,6 +28,119 @@
 //! let c = a.adds(b);                // saturates at i16::MAX
 //! assert_eq!(c.extract(0), i16::MAX);
 //! ```
+
+#[cfg(target_arch = "x86_64")]
+pub mod sse2;
+
+/// The lane operations the striped Smith-Waterman kernels are written
+/// against, so one kernel body runs on any register type.
+///
+/// Lane 0 is the element at the lowest slice index. Every
+/// implementation must agree lane for lane with the emulated
+/// [`Vector`] (`Elem = i16`) or [`ByteVector`] (`Elem = u8`) of the
+/// same lane count.
+pub trait Lanes: Copy {
+    /// Lane element: `i16` for word lanes, `u8` for byte lanes.
+    type Elem: Copy;
+
+    /// Number of lanes.
+    const LANES: usize;
+
+    /// Every lane equal to `value`.
+    fn splat(value: Self::Elem) -> Self;
+
+    /// Loads the first `LANES` elements of `src`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src.len() < LANES`.
+    fn load(src: &[Self::Elem]) -> Self;
+
+    /// Stores the lanes into the first `LANES` elements of `dst`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst.len() < LANES`.
+    fn store(self, dst: &mut [Self::Elem]);
+
+    /// Lane-wise saturating addition.
+    fn adds(self, rhs: Self) -> Self;
+
+    /// Lane-wise saturating subtraction.
+    fn subs(self, rhs: Self) -> Self;
+
+    /// Lane-wise maximum.
+    fn max(self, rhs: Self) -> Self;
+
+    /// Whether any lane of `self` exceeds the same lane of `rhs`.
+    fn any_gt(self, rhs: Self) -> bool;
+
+    /// Shifts every lane one position toward higher indices and puts
+    /// `first` in lane 0.
+    fn shift_in_first(self, first: Self::Elem) -> Self;
+
+    /// The largest lane value.
+    fn horizontal_max(self) -> Self::Elem;
+}
+
+/// Implements [`Lanes`] for an emulated vector by delegating to its
+/// inherent methods.
+macro_rules! emulated_lanes {
+    ($vector:ident, $elem:ty) => {
+        impl<const L: usize> Lanes for $vector<L> {
+            type Elem = $elem;
+            const LANES: usize = L;
+
+            #[inline]
+            fn splat(value: $elem) -> Self {
+                $vector::splat(value)
+            }
+
+            #[inline]
+            fn load(src: &[$elem]) -> Self {
+                $vector::from_slice(src)
+            }
+
+            #[inline]
+            fn store(self, dst: &mut [$elem]) {
+                dst[..L].copy_from_slice(&self.lanes);
+            }
+
+            #[inline]
+            fn adds(self, rhs: Self) -> Self {
+                $vector::adds(self, rhs)
+            }
+
+            #[inline]
+            fn subs(self, rhs: Self) -> Self {
+                $vector::subs(self, rhs)
+            }
+
+            #[inline]
+            fn max(self, rhs: Self) -> Self {
+                $vector::max(self, rhs)
+            }
+
+            #[inline]
+            fn any_gt(self, rhs: Self) -> bool {
+                $vector::any_gt(self, rhs)
+            }
+
+            #[inline]
+            fn shift_in_first(self, first: $elem) -> Self {
+                $vector::shift_in_first(self, first)
+            }
+
+            #[inline]
+            fn horizontal_max(self) -> $elem {
+                $vector::horizontal_max(self)
+            }
+        }
+    };
+}
+
+emulated_lanes!(Vector, i16);
+emulated_lanes!(ByteVector, u8);
 
 /// A vector of `L` signed 16-bit lanes.
 ///
