@@ -10,8 +10,10 @@
 //!   measured (`derived.ooo_vs_scoreboard_replay_speed`; the CI gate
 //!   holds the out-of-order model to ≥ 0.9× scoreboard throughput);
 //! * `trace_decode` — decode cost alone, no simulation: AoS slice
-//!   iteration vs the packed per-instruction reader vs the packed block
-//!   decoder, so decode throughput is separable from sim throughput;
+//!   iteration vs the packed trace's iterator (one instruction per
+//!   `next()` out of a block-decoded buffer) vs the packed block
+//!   decoder alone, so decode throughput is separable from sim
+//!   throughput;
 //! * `sim_sweep` — a 12-point grid (3 widths × 2 memories × 2
 //!   predictors) over one shared packed trace, serial vs 2 and 4 sweep
 //!   threads.
@@ -95,7 +97,7 @@ fn decode(c: &mut Criterion, trace: &Trace, packed: &Arc<PackedTrace>) {
     group.bench_function("aos_iterate", |b| {
         b.iter(|| std::hint::black_box(trace.insts().iter().fold(0u64, fold)))
     });
-    group.bench_function("packed_per_inst", |b| {
+    group.bench_function("packed_iter", |b| {
         b.iter(|| std::hint::black_box(packed.iter().fold(0u64, |a, i| fold(a, &i))))
     });
     group.bench_function("packed_block", |b| {
@@ -169,7 +171,7 @@ fn write_json(c: &Criterion, trace: &Trace, packed: &PackedTrace, path: &str) {
     };
     let replay_ratio = speed("sim_replay", "aos_trace", "packed_trace");
     let model_ratio = speed("sim_replay", "packed_trace_scoreboard", "packed_trace");
-    let decode_ratio = speed("trace_decode", "packed_per_inst", "packed_block");
+    let decode_ratio = speed("trace_decode", "packed_iter", "packed_block");
     let aos_bytes = trace.len() * std::mem::size_of::<sapa_core::isa::Inst>();
     let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     // One reference run of the baseline (out-of-order) model, so the
@@ -190,7 +192,7 @@ fn write_json(c: &Criterion, trace: &Trace, packed: &PackedTrace, path: &str) {
         report.sq_occupancy.mean(),
     );
     let json = format!(
-        "{{\n  \"bench\": \"sim\",\n  \"workload\": \"BLAST\",\n  \"trace_insts\": {},\n  \"host_cpus\": {cpus},\n  \"trace_bytes_aos\": {aos_bytes},\n  \"trace_bytes_packed\": {},\n{structures}  \"results\": [\n{entries}\n  ],\n  \"derived\": {{\n    \"packed_vs_aos_replay_speed\": {replay_ratio},\n    \"ooo_vs_scoreboard_replay_speed\": {model_ratio},\n    \"block_vs_per_inst_decode_speed\": {decode_ratio},\n    \"trace_compression\": {:.3},\n    \"sweep_speedup_t2_vs_serial\": {},\n    \"sweep_speedup_t4_vs_serial\": {}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"sim\",\n  \"workload\": \"BLAST\",\n  \"trace_insts\": {},\n  \"host_cpus\": {cpus},\n  \"trace_bytes_aos\": {aos_bytes},\n  \"trace_bytes_packed\": {},\n{structures}  \"results\": [\n{entries}\n  ],\n  \"derived\": {{\n    \"packed_vs_aos_replay_speed\": {replay_ratio},\n    \"ooo_vs_scoreboard_replay_speed\": {model_ratio},\n    \"block_vs_iter_decode_speed\": {decode_ratio},\n    \"trace_compression\": {:.3},\n    \"sweep_speedup_t2_vs_serial\": {},\n    \"sweep_speedup_t4_vs_serial\": {}\n  }}\n}}\n",
         trace.len(),
         packed.heap_bytes(),
         aos_bytes as f64 / packed.heap_bytes() as f64,

@@ -14,6 +14,24 @@
 //!   a granule a younger load already read squashes that load back to
 //!   its reservation station with a dependence on the store
 //!   (see [`super::lsq`]).
+//!
+//! ## Quiescent-cycle fast-forward
+//!
+//! A cycle is *quiescent* when nothing retired, issued (or re-issued
+//! after a replay) or dispatched, and fetch neither fetched nor touched
+//! the I-cache, TLB, predictor or NFA. Such a cycle's only writes are
+//! idempotent — an entry's `mshr_blocked` flag, the `IfFull`/`IfBrch`
+//! fetch-stall reason, `dispatch_stall` — and branch resolutions or
+//! MSHRs it expired at its top are not due again. Every decision the
+//! loop makes reads state that only a retire, issue, dispatch or fetch
+//! changes, or compares the clock with one of five deadlines: an
+//! executing entry's `done_at`, a pending branch resolution, an MSHR
+//! completion, the cycle the ibuffer head clears the frontend depth,
+//! and `fetch_stall_until`. So every cycle before the earliest of them
+//! repeats the quiescent one exactly, and [`Engine::run`] charges that
+//! stretch in one step — the blamed trauma, each occupancy histogram
+//! and the dispatch-structure stall counter, `k` cycles at once —
+//! without ever stepping past the watchdog's cycle.
 
 use std::collections::VecDeque;
 
@@ -36,7 +54,7 @@ const FETCH_FREE: u64 = 0;
 pub(super) struct Engine<'a, S> {
     cfg: &'a SimConfig,
     model: IssueModel,
-    src: S,
+    src: &'a mut S,
     n_insts: usize,
     cycle: u64,
 
@@ -85,7 +103,12 @@ pub(super) struct Engine<'a, S> {
 }
 
 impl<'a, S: InstSource> Engine<'a, S> {
-    pub(super) fn new(cfg: &'a SimConfig, n_insts: usize, src: S, buf: &'a mut DecodeBuf) -> Self {
+    pub(super) fn new(
+        cfg: &'a SimConfig,
+        n_insts: usize,
+        src: &'a mut S,
+        buf: &'a mut DecodeBuf,
+    ) -> Self {
         let model = cfg.cpu.issue_model;
         // The scoreboard model predates the RS split and sizes its
         // stations from the issue queues; the staged model has its own
@@ -152,26 +175,24 @@ impl<'a, S: InstSource> Engine<'a, S> {
 
             self.expire_resolutions();
             let retired = self.retire();
-            self.issue();
+            let issued = self.issue();
             self.dispatch_stall = None;
-            self.dispatch();
-            // Per-structure stall attribution: a dispatch stage blocked
-            // by a full or exhausted backend structure charges that
-            // structure, independent of which trauma the Moreno
-            // accounting below blames the cycle on.
-            if let Some(t) = self.dispatch_stall {
-                self.structures.charge_dispatch(t);
-            }
-            self.fetch();
-            self.record_occupancy();
+            let dispatched = self.dispatch();
+            let fetched = self.fetch();
             // Moreno-style accounting: any cycle that retires fewer
             // instructions than the machine width is charged to the
             // stall reason of the oldest non-retiring operation.
-            if retired < self.cfg.cpu.retire_width {
-                let blame = self.blame();
-                self.traumas.charge(blame, 1);
-                if blame == Trauma::MmStqc {
-                    self.structures.replay_wait_cycles += 1;
+            let blame = (retired < self.cfg.cpu.retire_width).then(|| self.blame());
+            self.account(blame, 1);
+
+            if retired == 0 && issued == 0 && dispatched == 0 && !fetched {
+                // Quiescent: the cycles before the next event repeat
+                // this one (module docs), up to the watchdog's cycle.
+                let last = self.next_event().min(watchdog) - 1;
+                let repeats = last - self.cycle;
+                if repeats > 0 {
+                    self.cycle = last;
+                    self.account(blame, repeats);
                 }
             }
         }
@@ -206,25 +227,81 @@ impl<'a, S: InstSource> Engine<'a, S> {
         }
     }
 
+    /// Charges `cycles` identical cycles: the dispatch-structure stall,
+    /// every occupancy histogram at its current level and, on a cycle
+    /// that retired below the machine width, the blamed trauma.
+    fn account(&mut self, blame: Option<Trauma>, cycles: u64) {
+        // Per-structure stall attribution: a dispatch stage blocked by
+        // a full or exhausted backend structure charges that structure,
+        // independent of which trauma the cycle is blamed on.
+        if let Some(t) = self.dispatch_stall {
+            self.structures.charge_dispatch(t, cycles);
+        }
+        for &class in &UnitClass::ALL {
+            let len = self.stations.len(class);
+            self.queue_occ[class.index()].record(len, cycles);
+        }
+        self.inflight_occ
+            .record(self.rob.len() + self.ibuffer.len(), cycles);
+        self.retireq_occ.record(self.rob.len(), cycles);
+        self.lq_occ.record(self.lsq.loads_len(), cycles);
+        self.sq_occ.record(self.lsq.stores_len(), cycles);
+        if let Some(blame) = blame {
+            self.traumas.charge(blame, cycles);
+            if blame == Trauma::MmStqc {
+                self.structures.replay_wait_cycles += cycles;
+            }
+        }
+    }
+
+    /// The earliest cycle after the current one at which a timed event
+    /// can change what the cycle loop does (module docs), or `u64::MAX`
+    /// if none is pending. Expired resolutions and MSHRs were removed at
+    /// the top of the cycle, so every remaining one lies ahead. A branch
+    /// resolution falls on its executing branch's `done_at` and so never
+    /// comes first today; it stays in the minimum so that exactness does
+    /// not rest on that coincidence. An MSHR can outlive its load, which
+    /// a replay sends back to Waiting.
+    fn next_event(&self) -> u64 {
+        let now = self.cycle;
+        let mut next = self.rob.next_completion(now);
+        for &t in self.branch_resolutions.iter().chain(&self.mshr) {
+            next = next.min(t);
+        }
+        if let Some(&(_, fetched)) = self.ibuffer.front() {
+            let decoded = fetched + self.cfg.cpu.frontend_depth as u64;
+            if decoded > now {
+                next = next.min(decoded);
+            }
+        }
+        if self.fetch_stall_until > now {
+            next = next.min(self.fetch_stall_until);
+        }
+        next
+    }
+
     /// Decoded instruction `idx` out of the block buffer, refilling from
-    /// the source when fetch steps past the buffered block.
+    /// the source when fetch steps past the buffered block; `None` when
+    /// the source withholds the rest of the trace (a checked source
+    /// that found an invariant violation).
     ///
     /// Fetch is sequential — `idx` is either the last index served (a
     /// stalled fetch retrying) or the one after it — so the offset into
     /// the current block is always in `0..=block_len`, and a refill is
-    /// needed exactly when it equals `block_len`. The caller's
-    /// `next_fetch < n_insts` guard guarantees the source still has
-    /// instructions, so a refill always produces a non-empty block.
+    /// needed exactly when it equals `block_len`.
     #[inline]
-    fn inst_at(&mut self, idx: usize) -> Inst {
+    fn inst_at(&mut self, idx: usize) -> Option<Inst> {
         let off = idx - self.block_start;
         if off == self.block_len {
+            let n = self.src.fill_block(self.block);
+            if n == 0 {
+                return None;
+            }
             self.block_start = idx;
-            self.block_len = self.src.fill_block(self.block);
-            debug_assert!(self.block_len > 0, "source dry at index {idx}");
-            return self.block[0];
+            self.block_len = n;
+            return Some(self.block[0]);
         }
-        self.block[off]
+        Some(self.block[off])
     }
 
     fn expire_resolutions(&mut self) {
@@ -239,28 +316,27 @@ impl<'a, S: InstSource> Engine<'a, S> {
         let mut n = 0;
         while n < self.cfg.cpu.retire_width {
             let Some(head) = self.rob.front() else { break };
-            let complete = match head.state {
-                State::Done => true,
-                State::Executing => head.done_at <= self.cycle,
-                State::Waiting => false,
-            };
-            if !complete {
+            if head.state != State::Executing || head.done_at > self.cycle {
                 break;
             }
-            let (seq, entry) = self.rob.pop_front().expect("head exists");
-            if entry.inst.op.is_store() {
+            let inst = head.inst;
+            let seq = self.rob.head_seq();
+            self.rob.pop_front();
+            if inst.op.is_store() {
                 self.lsq.retire_store(seq);
-            } else if entry.inst.op.is_load() && self.model == IssueModel::OutOfOrder {
+            } else if inst.op.is_load() && self.model == IssueModel::OutOfOrder {
                 self.lsq.retire_load(seq);
             }
-            self.rat.release(&entry.inst);
+            self.rat.release(&inst);
             self.retired += 1;
             n += 1;
         }
         n
     }
 
-    fn issue(&mut self) {
+    /// Runs the issue scan; returns how many instructions issued.
+    fn issue(&mut self) -> u32 {
+        let mut total = 0;
         for &class in &UnitClass::ALL {
             let units = self.cfg.cpu.units[class.index()];
             let mut issued = 0;
@@ -277,7 +353,9 @@ impl<'a, S: InstSource> Engine<'a, S> {
                 self.stations.remove(class, qi);
                 issued += 1;
             }
+            total += issued;
         }
+        total
     }
 
     /// Attempts to issue the instruction `seq`; returns `true` on
@@ -444,7 +522,8 @@ impl<'a, S: InstSource> Engine<'a, S> {
         self.structures.replays += 1;
     }
 
-    fn dispatch(&mut self) {
+    /// Dispatches from the ibuffer; returns how many instructions left it.
+    fn dispatch(&mut self) -> u32 {
         let mut n = 0;
         while n < self.cfg.cpu.dispatch_width {
             let Some(&(inst, fetch_cycle)) = self.ibuffer.front() else {
@@ -522,42 +601,36 @@ impl<'a, S: InstSource> Engine<'a, S> {
             };
 
             self.rob.push(RobEntry {
-                inst,
-                state: State::Waiting,
-                queue: class,
-                done_at: 0,
-                dispatch_cycle: self.cycle,
-                deps,
-                ndeps,
-                served: None,
-                tlb_miss: false,
                 mispredicted,
                 is_cond_branch: is_cond,
-                mshr_blocked: false,
-                probed: false,
-                replayed: false,
+                ..RobEntry::new(inst, class, self.cycle, deps, ndeps)
             });
             self.stations.push(class, seq);
             self.ibuffer.pop_front();
             n += 1;
         }
+        n
     }
 
-    fn fetch(&mut self) {
+    /// Runs the fetch stage; returns whether it read the trace — and
+    /// with it fetched an instruction or touched the I-cache, TLB,
+    /// predictor or NFA.
+    fn fetch(&mut self) -> bool {
         if self.cycle < self.fetch_stall_until {
-            return;
+            return false;
         }
         // While a mispredicted branch is unresolved, the frontend only
         // holds correct-path instructions that were already buffered;
         // no new fetch happens.
         if self.mispredict_blocker.is_some() {
-            return;
+            return false;
         }
         // The last disruption reason stays sticky so that refill
         // (decode-depth) cycles after a redirect are charged to the
         // redirect's cause, as the paper's accounting does.
 
         let line_mask = !(self.cfg.mem.il1.line as u64 - 1);
+        let mut active = false;
         let mut n = 0;
         while n < self.cfg.cpu.fetch_width {
             if self.next_fetch >= self.n_insts {
@@ -577,7 +650,13 @@ impl<'a, S: InstSource> Engine<'a, S> {
             }
             // A stalled fetch re-reads the same index next cycle; that
             // repeat stays inside the decoded block buffer.
-            let inst = self.inst_at(self.next_fetch);
+            let Some(inst) = self.inst_at(self.next_fetch) else {
+                // The source withheld the rest: end the trace here and
+                // let the pipeline drain.
+                self.n_insts = self.next_fetch;
+                break;
+            };
+            active = true;
 
             // I-cache: accessing a new line may miss.
             let line = inst.pc as u64 & line_mask;
@@ -626,25 +705,14 @@ impl<'a, S: InstSource> Engine<'a, S> {
                 }
             }
         }
-    }
-
-    fn record_occupancy(&mut self) {
-        for &class in &UnitClass::ALL {
-            let len = self.stations.len(class);
-            self.queue_occ[class.index()].record(len);
-        }
-        self.inflight_occ
-            .record(self.rob.len() + self.ibuffer.len());
-        self.retireq_occ.record(self.rob.len());
-        self.lq_occ.record(self.lsq.loads_len());
-        self.sq_occ.record(self.lsq.stores_len());
+        active
     }
 
     /// Stall-reason attribution for a zero-retire cycle.
     fn blame(&self) -> Trauma {
         if let Some(head) = self.rob.front() {
             match head.state {
-                State::Executing | State::Done => {
+                State::Executing => {
                     // Multi-cycle execution at the head: charge the
                     // resource it occupies.
                     if head.tlb_miss && head.served == Some(ServedBy::L1) {

@@ -114,7 +114,8 @@ impl Simulator {
     /// replay.
     pub fn run_with(&self, trace: &Trace, buf: &mut DecodeBuf) -> SimReport {
         let insts = trace.insts();
-        Engine::new(&self.cfg, insts.len(), SliceSource { insts, pos: 0 }, buf).run()
+        let mut src = SliceSource { insts, pos: 0 };
+        Engine::new(&self.cfg, insts.len(), &mut src, buf).run()
     }
 
     /// Simulates a [`PackedTrace`] without unpacking it: the replay
@@ -135,21 +136,24 @@ impl Simulator {
     /// sweep engine gives each worker thread one buffer for its whole
     /// job stream.
     pub fn run_packed_with(&self, trace: &PackedTrace, buf: &mut DecodeBuf) -> SimReport {
-        Engine::new(
-            &self.cfg,
-            trace.len(),
-            PackedSource(trace.block_decoder()),
-            buf,
-        )
-        .run()
+        let mut src = PackedSource::new(trace, false);
+        Engine::new(&self.cfg, trace.len(), &mut src, buf).run()
     }
 
     /// [`Simulator::run_packed`] hardened against corrupted or malformed
-    /// traces: the trace is validated before replay — stream structure
-    /// and checksum via [`PackedTrace::check`], then architectural
-    /// invariants via [`sapa_isa::validate`] — so untrusted bytes yield
-    /// a typed [`TraceError`] instead of a panic deep inside the decode
-    /// or replay loop.
+    /// traces, so untrusted bytes yield a typed [`TraceError`] instead of
+    /// a panic deep inside the decode or replay loop.
+    ///
+    /// Before the replay, [`PackedTrace::check`] verifies the stream
+    /// structure and the checksum, so the decode cannot fail. During the
+    /// replay, every decoded block is checked against the architectural
+    /// invariants of [`sapa_isa::validate`] before the fetch stage may
+    /// read it: a block that breaks one is withheld, the replay ends,
+    /// and a full [`sapa_isa::validate::validate_iter`] pass over the
+    /// trace, stopping once it has found 8 violations, describes the
+    /// error. No instruction
+    /// that fails validation ever enters the pipeline, and a valid trace
+    /// is decoded once.
     ///
     /// # Errors
     ///
@@ -170,14 +174,19 @@ impl Simulator {
         buf: &mut DecodeBuf,
     ) -> Result<SimReport, TraceError> {
         trace.check()?;
-        let violations = sapa_isa::validate::validate_iter(trace.iter(), 8);
-        if let Some(first) = violations.first() {
+        let mut src = PackedSource::new(trace, true);
+        let report = Engine::new(&self.cfg, trace.len(), &mut src, buf).run();
+        if src.withheld {
+            let violations = sapa_isa::validate::validate_iter(trace.iter(), 8);
+            let first = violations
+                .first()
+                .expect("a withheld block breaks an invariant");
             return Err(TraceError::Invariant {
                 first: first.to_string(),
                 violations: violations.len(),
             });
         }
-        Ok(self.run_packed_with(trace, buf))
+        Ok(report)
     }
 }
 
@@ -210,8 +219,9 @@ impl Default for DecodeBuf {
 
 /// Where the engine pulls instructions from, a block at a time:
 /// `fill_block` decodes up to `buf.len()` instructions into the front
-/// of `buf` and returns how many it wrote (0 only when the trace is
-/// exhausted). Successive calls continue where the last one stopped.
+/// of `buf` and returns how many it wrote (0 once the trace is
+/// exhausted, or once a checked source withholds the rest). Successive
+/// calls continue where the last one stopped.
 trait InstSource {
     fn fill_block(&mut self, buf: &mut [Inst]) -> usize;
 }
@@ -234,13 +244,35 @@ impl InstSource for SliceSource<'_> {
 }
 
 /// Compact source: blocks come from [`BlockDecoder::fill`], the
-/// batch-decode fast path over the structure-of-arrays streams.
-struct PackedSource<'a>(BlockDecoder<'a>);
+/// batch-decode fast path over the structure-of-arrays streams. A
+/// checked source runs each decoded block past the trace invariants
+/// before handing it over, and withholds the first block that breaks
+/// one, which ends the replay.
+struct PackedSource<'a> {
+    decoder: BlockDecoder<'a>,
+    checked: bool,
+    withheld: bool,
+}
+
+impl<'a> PackedSource<'a> {
+    fn new(trace: &'a PackedTrace, checked: bool) -> Self {
+        PackedSource {
+            decoder: trace.block_decoder(),
+            checked,
+            withheld: false,
+        }
+    }
+}
 
 impl InstSource for PackedSource<'_> {
     #[inline]
     fn fill_block(&mut self, buf: &mut [Inst]) -> usize {
-        self.0.fill(buf)
+        let n = self.decoder.fill(buf);
+        if self.checked && !sapa_isa::validate::block_is_valid(&buf[..n]) {
+            self.withheld = true;
+            return 0;
+        }
+        n
     }
 }
 
@@ -865,5 +897,176 @@ mod ooo_tests {
             let sim = Simulator::new(with_model(model));
             assert_eq!(sim.run(&trace), sim.run_packed(&packed), "{model:?}");
         }
+    }
+}
+
+#[cfg(test)]
+mod checked_replay_tests {
+    use super::*;
+    use sapa_isa::inst::flags;
+    use sapa_isa::mem::DATA_BASE;
+    use sapa_isa::reg::{self, Reg};
+    use sapa_isa::trace::{Tracer, CODE_BASE};
+    use sapa_isa::validate::validate_iter;
+
+    /// A valid trace spanning several decode blocks, with a tail block
+    /// shorter than [`BLOCK_LEN`].
+    fn clean(n: u32) -> Vec<Inst> {
+        let mut t = Tracer::new();
+        for i in 0..n / 4 {
+            t.iload(i % 32, reg::gpr(1), DATA_BASE + (i % 512) * 64, 4, &[]);
+            t.ialu(32 + i % 8, reg::gpr(2), &[reg::gpr(1)]);
+            t.istore(40, DATA_BASE + 0x8000 + (i % 16) * 16, 4, &[reg::gpr(2)]);
+            t.branch(41, i % 3 == 0, 0, &[reg::gpr(2)]);
+        }
+        t.finish().insts().to_vec()
+    }
+
+    /// One instruction per invariant, each breaking exactly that one.
+    fn breakers() -> Vec<(&'static str, Inst)> {
+        let load = Inst {
+            pc: CODE_BASE + 8,
+            ea: DATA_BASE + 64,
+            op: OpClass::ILoad,
+            dst: reg::gpr(3),
+            srcs: [Reg::NONE; 3],
+            flags: 2 << flags::WIDTH_SHIFT,
+        };
+        let alu = Inst {
+            ea: 0,
+            op: OpClass::IAlu,
+            flags: 0,
+            ..load
+        };
+        vec![
+            (
+                "pc out of range",
+                Inst {
+                    pc: DATA_BASE + 4,
+                    ..alu
+                },
+            ),
+            (
+                "pc misaligned",
+                Inst {
+                    pc: CODE_BASE + 6,
+                    ..alu
+                },
+            ),
+            (
+                "address below data",
+                Inst {
+                    ea: CODE_BASE,
+                    ..load
+                },
+            ),
+            (
+                "target outside code",
+                Inst {
+                    ea: DATA_BASE,
+                    op: OpClass::Branch,
+                    dst: Reg::NONE,
+                    flags: flags::TAKEN,
+                    ..alu
+                },
+            ),
+            (
+                "width on an ALU op",
+                Inst {
+                    flags: 3 << flags::WIDTH_SHIFT,
+                    ..alu
+                },
+            ),
+            (
+                "load without dst",
+                Inst {
+                    dst: Reg::NONE,
+                    ..load
+                },
+            ),
+            (
+                "store with dst",
+                Inst {
+                    op: OpClass::IStore,
+                    ..load
+                },
+            ),
+        ]
+    }
+
+    /// `try_run_packed` must report exactly what `validate_iter` says
+    /// about the trace — first violation and count — for a trace that
+    /// passes the structural check.
+    fn assert_rejected_like_validate(insts: &[Inst], what: &str) {
+        let packed = PackedTrace::from_insts(insts);
+        assert_eq!(packed.check(), Ok(()), "{what}: must pass check()");
+        let violations = validate_iter(insts.iter().copied(), 8);
+        assert!(!violations.is_empty(), "{what}: no violation built");
+        assert_eq!(validate_iter(packed.iter(), 8), violations, "{what}");
+        let want = TraceError::Invariant {
+            first: violations[0].to_string(),
+            violations: violations.len(),
+        };
+        for model in [
+            crate::config::IssueModel::OutOfOrder,
+            crate::config::IssueModel::Scoreboard,
+        ] {
+            let mut cfg = SimConfig::four_way();
+            cfg.cpu.issue_model = model;
+            let sim = Simulator::new(cfg);
+            assert_eq!(
+                sim.try_run_packed(&packed),
+                Err(want.clone()),
+                "{what} ({model:?})"
+            );
+        }
+    }
+
+    #[test]
+    fn every_violation_kind_is_reported_exactly_as_validate_describes_it() {
+        let base = clean(3 * BLOCK_LEN as u32 + 40);
+        let last = base.len() - 1;
+        for (what, bad) in breakers() {
+            for at in [0, BLOCK_LEN + 17, last] {
+                let mut insts = base.clone();
+                insts[at] = bad;
+                assert_rejected_like_validate(&insts, &format!("{what} at {at}"));
+            }
+        }
+    }
+
+    #[test]
+    fn violation_count_matches_validate_beyond_the_limit() {
+        let base = clean(2 * BLOCK_LEN as u32);
+        let kinds = breakers();
+        // Ten single violations: the count stops at the limit of 8.
+        let mut insts = base.clone();
+        for k in 0..10 {
+            insts[30 + 40 * k] = kinds[k % kinds.len()].1;
+        }
+        assert_rejected_like_validate(&insts, "ten violations");
+        // Instructions breaking two invariants each: the limit is
+        // checked between instructions, so the count reaches 9.
+        let two = Inst {
+            pc: DATA_BASE + 2,
+            ..kinds[0].1
+        };
+        let mut insts = base;
+        insts[5] = kinds[2].1;
+        for k in 0..6 {
+            insts[100 + 50 * k] = two;
+        }
+        let violations = validate_iter(insts.iter().copied(), 8).len();
+        assert_eq!(violations, 9);
+        assert_rejected_like_validate(&insts, "paired violations");
+    }
+
+    #[test]
+    fn valid_traces_replay_exactly_as_the_unchecked_path() {
+        let packed = PackedTrace::from_insts(&clean(3 * BLOCK_LEN as u32 + 40));
+        let sim = Simulator::new(SimConfig::four_way());
+        assert_eq!(sim.try_run_packed(&packed), Ok(sim.run_packed(&packed)));
+        let empty = PackedTrace::default();
+        assert_eq!(sim.try_run_packed(&empty), Ok(sim.run_packed(&empty)));
     }
 }

@@ -3,11 +3,11 @@
 //!
 //! Entries are indexed by *sequence number* — the position of the
 //! instruction in the dynamic trace. The ROB is a contiguous window
-//! `head_seq .. head_seq + len`, so a sequence number maps to an entry
-//! with one subtraction and numbers below `head_seq` are known-retired
-//! without a lookup.
-
-use std::collections::VecDeque;
+//! `head_seq .. head_seq + len` kept in a power-of-two ring at slot
+//! `seq & mask`, so a lookup is one range check plus one index, and
+//! numbers below `head_seq` are known-retired without a lookup. The
+//! ring is at least as large as the configured retire queue, which
+//! dispatch never overfills, so live entries never share a slot.
 
 use sapa_isa::inst::Inst;
 
@@ -16,12 +16,12 @@ use crate::config::UnitClass;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum State {
-    /// Dispatched, waiting in a reservation station.
+    /// Dispatched (or squashed by a replay), waiting in a reservation
+    /// station; `done_at` is 0.
     Waiting,
-    /// Issued; result available at `done_at`.
+    /// Issued; the result is available from `done_at` on, and the
+    /// entry is complete from then until it retires.
     Executing,
-    /// Completed.
-    Done,
 }
 
 #[derive(Debug, Clone)]
@@ -49,18 +49,52 @@ pub(crate) struct RobEntry {
     pub replayed: bool,
 }
 
+impl RobEntry {
+    /// A freshly dispatched entry.
+    pub fn new(
+        inst: Inst,
+        queue: UnitClass,
+        dispatch_cycle: u64,
+        deps: [u64; 4],
+        ndeps: u8,
+    ) -> Self {
+        RobEntry {
+            inst,
+            state: State::Waiting,
+            queue,
+            done_at: 0,
+            dispatch_cycle,
+            deps,
+            ndeps,
+            served: None,
+            tlb_miss: false,
+            mispredicted: false,
+            is_cond_branch: false,
+            mshr_blocked: false,
+            probed: false,
+            replayed: false,
+        }
+    }
+}
+
 /// The retirement-ordered window.
 #[derive(Debug)]
 pub(crate) struct Rob {
-    entries: VecDeque<RobEntry>,
+    ring: Vec<RobEntry>,
+    mask: u64,
     head_seq: u64,
+    len: usize,
 }
 
 impl Rob {
     pub fn new(capacity: usize) -> Self {
+        let slots = capacity.max(1).next_power_of_two();
+        let vacant = RobEntry::new(Inst::default(), UnitClass::Fix, 0, [0; 4], 0);
         Rob {
-            entries: VecDeque::with_capacity(capacity),
+            ring: vec![vacant; slots],
+            mask: slots as u64 - 1,
             head_seq: 0,
+            len: 0,
         }
     }
 
@@ -74,38 +108,39 @@ impl Rob {
     /// Sequence number the next dispatched instruction will get.
     #[inline]
     pub fn next_seq(&self) -> u64 {
-        self.head_seq + self.entries.len() as u64
+        self.head_seq + self.len as u64
     }
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     #[inline]
     pub fn front(&self) -> Option<&RobEntry> {
-        self.entries.front()
+        self.entry(self.head_seq)
+    }
+
+    /// Ring slot of in-flight `seq`. A number below the head wraps to a
+    /// huge offset, so retired and not-yet-dispatched both miss.
+    #[inline]
+    fn slot(&self, seq: u64) -> Option<usize> {
+        (seq.wrapping_sub(self.head_seq) < self.len as u64).then_some((seq & self.mask) as usize)
     }
 
     #[inline]
     pub fn entry(&self, seq: u64) -> Option<&RobEntry> {
-        if seq < self.head_seq {
-            return None; // already retired
-        }
-        self.entries.get((seq - self.head_seq) as usize)
+        self.slot(seq).map(|i| &self.ring[i])
     }
 
     #[inline]
     pub fn entry_mut(&mut self, seq: u64) -> Option<&mut RobEntry> {
-        if seq < self.head_seq {
-            return None;
-        }
-        self.entries.get_mut((seq - self.head_seq) as usize)
+        self.slot(seq).map(|i| &mut self.ring[i])
     }
 
     /// A dependency is satisfied when its producer has left the window
@@ -114,23 +149,38 @@ impl Rob {
     pub fn dep_ready(&self, seq: u64, cycle: u64) -> bool {
         match self.entry(seq) {
             None => true,
-            Some(e) => {
-                e.state == State::Done || (e.state == State::Executing && e.done_at <= cycle)
-            }
+            Some(e) => e.state == State::Executing && e.done_at <= cycle,
         }
     }
 
+    /// Appends a dispatched entry at [`Rob::next_seq`].
     #[inline]
     pub fn push(&mut self, entry: RobEntry) {
-        self.entries.push_back(entry);
+        debug_assert!(self.len < self.ring.len(), "ROB ring overfilled");
+        let slot = (self.next_seq() & self.mask) as usize;
+        self.ring[slot] = entry;
+        self.len += 1;
     }
 
-    /// Retires the head entry, returning its sequence number and state.
+    /// Retires the head entry (which the caller has read in place).
     #[inline]
-    pub fn pop_front(&mut self) -> Option<(u64, RobEntry)> {
-        let entry = self.entries.pop_front()?;
-        let seq = self.head_seq;
+    pub fn pop_front(&mut self) {
+        debug_assert!(self.len > 0, "retiring from an empty ROB");
         self.head_seq += 1;
-        Some((seq, entry))
+        self.len -= 1;
+    }
+
+    /// The earliest `done_at` after `cycle` among executing entries —
+    /// the next cycle at which an in-flight result becomes available —
+    /// or `u64::MAX` if nothing is still executing.
+    pub fn next_completion(&self, cycle: u64) -> u64 {
+        let mut next = u64::MAX;
+        for seq in self.head_seq..self.next_seq() {
+            let e = &self.ring[(seq & self.mask) as usize];
+            if e.state == State::Executing && e.done_at > cycle {
+                next = next.min(e.done_at);
+            }
+        }
+        next
     }
 }

@@ -19,11 +19,11 @@ impl OccupancyHistogram {
         }
     }
 
-    /// Records one cycle at `occupancy` (clamped to capacity).
+    /// Records `cycles` cycles at `occupancy` (clamped to capacity).
     #[inline]
-    pub fn record(&mut self, occupancy: usize) {
+    pub fn record(&mut self, occupancy: usize, cycles: u64) {
         let i = occupancy.min(self.hist.len() - 1);
-        self.hist[i] += 1;
+        self.hist[i] += cycles;
     }
 
     /// Cycles spent at exactly `occupancy` entries.
@@ -97,15 +97,15 @@ impl StructStalls {
             + self.sq_full_stalls
     }
 
-    /// Charges one dispatch-stall cycle to the structure behind the
-    /// given dispatch-stage trauma (no-op for non-structural reasons
+    /// Charges `cycles` dispatch-stall cycles to the structure behind
+    /// the given dispatch-stage trauma (no-op for non-structural reasons
     /// such as decode depth).
-    pub(crate) fn charge_dispatch(&mut self, t: Trauma) {
+    pub(crate) fn charge_dispatch(&mut self, t: Trauma, cycles: u64) {
         match t {
-            Trauma::Rename => self.rename_stalls += 1,
-            Trauma::MmRoqf => self.rob_full_stalls += 1,
-            Trauma::MmDcqf => self.lq_full_stalls += 1,
-            Trauma::MmStqf => self.sq_full_stalls += 1,
+            Trauma::Rename => self.rename_stalls += cycles,
+            Trauma::MmRoqf => self.rob_full_stalls += cycles,
+            Trauma::MmDcqf => self.lq_full_stalls += cycles,
+            Trauma::MmStqf => self.sq_full_stalls += cycles,
             Trauma::DiqVfpu
             | Trauma::DiqVcmplx
             | Trauma::DiqVper
@@ -115,7 +115,7 @@ impl StructStalls {
             | Trauma::DiqBr
             | Trauma::DiqMem
             | Trauma::DiqFpu
-            | Trauma::DiqFix => self.rs_full_stalls += 1,
+            | Trauma::DiqFix => self.rs_full_stalls += cycles,
             _ => {}
         }
     }
@@ -238,12 +238,12 @@ mod tests {
     #[test]
     fn histogram_records_and_clamps() {
         let mut h = OccupancyHistogram::new(4);
-        h.record(0);
-        h.record(2);
-        h.record(2);
-        h.record(99); // clamped to 4
+        h.record(0, 1);
+        h.record(2, 1);
+        h.record(2, 3);
+        h.record(99, 1); // clamped to 4
         assert_eq!(h.cycles_at(0), 1);
-        assert_eq!(h.cycles_at(2), 2);
+        assert_eq!(h.cycles_at(2), 4);
         assert_eq!(h.cycles_at(4), 1);
         assert_eq!(h.cycles_at(10), 0);
     }
@@ -251,8 +251,8 @@ mod tests {
     #[test]
     fn histogram_mean() {
         let mut h = OccupancyHistogram::new(10);
-        h.record(2);
-        h.record(4);
+        h.record(2, 1);
+        h.record(4, 1);
         assert!((h.mean() - 3.0).abs() < 1e-12);
         assert_eq!(OccupancyHistogram::new(3).mean(), 0.0);
     }

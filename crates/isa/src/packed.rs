@@ -235,9 +235,10 @@ impl PackedTrace {
     /// stored checksum, returning the first problem found.
     ///
     /// A trace that passes is guaranteed to decode through
-    /// [`PackedTrace::iter`] / [`PackedReader`] without panicking: every
-    /// op nibble maps to an [`OpClass`], every register byte is a legal
-    /// id, and the sparse side streams are consumed exactly. Structural
+    /// [`BlockDecoder`] (and so [`PackedTrace::iter`]) without
+    /// panicking: every op nibble maps to an [`OpClass`], every register
+    /// byte is a legal id, and the sparse side streams are consumed
+    /// exactly. Structural
     /// problems are reported in preference to the (catch-all) checksum
     /// mismatch so the error pinpoints the corrupted record when it can.
     pub fn check(&self) -> Result<(), TraceError> {
@@ -465,18 +466,6 @@ impl<'a> IntoIterator for &'a PackedTrace {
     }
 }
 
-fn reg_from_id(id: u8) -> Reg {
-    match id {
-        0..=31 => reg::gpr(id),
-        32..=63 => reg::fpr(id - 32),
-        64..=127 => reg::vr(id - 64),
-        // Ids 128..=254 never occur in a checked trace (`check()`
-        // reports them as `BadRegister`); decode them as NONE rather
-        // than asserting mid-iteration when a caller skipped `check`.
-        _ => Reg::NONE,
-    }
-}
-
 /// Branch-free op-class dispatch: every nibble maps to a class, with
 /// the undecodable values 12..=15 folded to `Other` exactly as
 /// [`OpClass::from_index`]`.unwrap_or(Other)` would.
@@ -490,8 +479,10 @@ const OP_LUT: [OpClass; 16] = {
     t
 };
 
-/// Branch-free register decode: the whole `u8` id space, with the
-/// unarchitected hole 128..=254 folded to NONE like [`reg_from_id`].
+/// Branch-free register decode: the whole `u8` id space. Id 255 is
+/// NONE; the unarchitected hole 128..=254 never occurs in a checked
+/// trace (`check()` reports it as `BadRegister`) and also decodes as
+/// NONE, so a caller that skipped `check` gets no panic from it.
 const REG_LUT: [Reg; 256] = {
     let mut t = [Reg::NONE; 256];
     let mut i = 0usize;
@@ -507,7 +498,9 @@ const REG_LUT: [Reg; 256] = {
     t
 };
 
-/// Sequential decoder over a [`PackedTrace`].
+/// Sequential iterator over a [`PackedTrace`]: a [`BlockDecoder`]
+/// refilling a [`BLOCK_LEN`]-instruction buffer, handed out one
+/// instruction at a time.
 ///
 /// The sparse side-streams make random access impossible without an
 /// index; replay does not need one. [`PackedReader::get`] additionally
@@ -516,81 +509,29 @@ const REG_LUT: [Reg; 256] = {
 /// miss and retry the same slot next cycle.
 #[derive(Debug, Clone)]
 pub struct PackedReader<'a> {
-    trace: &'a PackedTrace,
-    /// Index the next `decode` call produces.
-    next: usize,
-    wide_pos: usize,
-    ea_pos: usize,
-    regs_pos: usize,
-    /// Cache of the instruction at `next - 1` (valid once `next > 0`).
-    cur: Inst,
+    decoder: BlockDecoder<'a>,
+    block: Vec<Inst>,
+    /// Index into `block` of the next instruction to hand out; once
+    /// anything was handed out, `block[pos - 1]` is the latest.
+    pos: usize,
+    /// Decoded instructions in `block`.
+    len: usize,
 }
 
 impl<'a> PackedReader<'a> {
     /// A reader positioned at instruction 0.
     pub fn new(trace: &'a PackedTrace) -> Self {
         PackedReader {
-            trace,
-            next: 0,
-            wide_pos: 0,
-            ea_pos: 0,
-            regs_pos: 0,
-            cur: Inst {
-                pc: 0,
-                ea: 0,
-                op: OpClass::Other,
-                dst: Reg::NONE,
-                srcs: [Reg::NONE; 3],
-                flags: 0,
-            },
+            decoder: trace.block_decoder(),
+            block: vec![Inst::default(); BLOCK_LEN],
+            pos: 0,
+            len: 0,
         }
     }
 
-    fn decode(&mut self) -> Inst {
-        let t = self.trace;
-        let meta = t.meta[self.next];
-        // Nibbles 12..15 never occur in a checked trace (`check()`
-        // reports them as `BadOpClass`); decode them as Other rather
-        // than panicking mid-iteration when a caller skipped `check`.
-        let op = OpClass::from_index((meta & OP_BITS) as usize).unwrap_or(OpClass::Other);
-        let flags = (meta >> FLAGS_SHIFT) as u8;
-        let pc = match t.site[self.next] {
-            WIDE_PC => {
-                let pc = t.wide_pc[self.wide_pos];
-                self.wide_pos += 1;
-                pc
-            }
-            site => CODE_BASE + 4 * site as u32,
-        };
-        let ea = if meta & HAS_EA != 0 {
-            let ea = t.ea[self.ea_pos];
-            self.ea_pos += 1;
-            ea
-        } else {
-            0
-        };
-        let dst = if meta & HAS_DST != 0 {
-            let d = reg_from_id(t.regs[self.regs_pos]);
-            self.regs_pos += 1;
-            d
-        } else {
-            Reg::NONE
-        };
-        let nsrcs = (meta >> NSRCS_SHIFT) as usize;
-        let mut srcs = [Reg::NONE; 3];
-        for slot in &mut srcs[..nsrcs] {
-            *slot = reg_from_id(t.regs[self.regs_pos]);
-            self.regs_pos += 1;
-        }
-        self.next += 1;
-        Inst {
-            pc,
-            ea,
-            op,
-            dst,
-            srcs,
-            flags,
-        }
+    /// Index of the instruction the next `next()` yields.
+    fn cursor(&self) -> usize {
+        self.decoder.position() - self.len + self.pos
     }
 
     /// The instruction at `idx`, which must be the index of the last
@@ -602,25 +543,24 @@ impl<'a> PackedReader<'a> {
     /// of bounds.
     #[inline]
     pub fn get(&mut self, idx: usize) -> Inst {
-        if idx + 1 == self.next {
-            return self.cur;
+        let cursor = self.cursor();
+        if idx + 1 == cursor {
+            return self.block[self.pos - 1];
         }
         assert_eq!(
-            idx, self.next,
-            "PackedReader is sequential: asked for {idx}, cursor at {}",
-            self.next
+            idx, cursor,
+            "PackedReader is sequential: asked for {idx}, cursor at {cursor}"
         );
-        self.cur = self.decode();
-        self.cur
+        self.next()
+            .unwrap_or_else(|| panic!("PackedReader: index {idx} out of bounds"))
     }
 }
 
 /// Batch decoder over a [`PackedTrace`] — the fast path for replay.
 ///
-/// [`PackedReader`] pulls one instruction at a time, paying cursor
-/// updates through `&mut self` fields, a fallback-laden op/register
-/// decode, and a call boundary per instruction. `BlockDecoder::fill`
-/// instead decodes a caller-sized chunk in one tight loop: the four
+/// `BlockDecoder::fill` decodes a caller-sized chunk in one tight
+/// loop, rather than paying cursor updates through `&mut self` fields
+/// and a call boundary per instruction: the four
 /// stream cursors live in registers for the whole block, op classes and
 /// register ids go through branch-free lookup tables (`OP_LUT`,
 /// `REG_LUT`), and the structural guard (do the sparse side streams
@@ -696,8 +636,7 @@ impl<'a> BlockDecoder<'a> {
     /// side-stream entries than exist — the same streams-exhausted
     /// condition [`PackedTrace::check`] reports as a typed error.
     /// Callers facing untrusted bytes must `check()` first, after which
-    /// `fill` is guaranteed panic-free (same contract as
-    /// [`PackedReader`]).
+    /// `fill` is guaranteed panic-free.
     pub fn fill(&mut self, buf: &mut [Inst]) -> usize {
         let t = self.trace;
         let n = (t.meta.len() - self.next).min(buf.len());
@@ -783,16 +722,24 @@ impl<'a> BlockDecoder<'a> {
 impl Iterator for PackedReader<'_> {
     type Item = Inst;
 
+    #[inline]
     fn next(&mut self) -> Option<Inst> {
-        if self.next >= self.trace.len() {
-            return None;
+        if self.pos == self.len {
+            // An exhausted decoder leaves the last block in place, so a
+            // re-read of the final instruction still finds it.
+            let n = self.decoder.fill(&mut self.block);
+            if n == 0 {
+                return None;
+            }
+            self.len = n;
+            self.pos = 0;
         }
-        self.cur = self.decode();
-        Some(self.cur)
+        self.pos += 1;
+        Some(self.block[self.pos - 1])
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.trace.len() - self.next;
+        let left = self.decoder.remaining() + self.len - self.pos;
         (left, Some(left))
     }
 }

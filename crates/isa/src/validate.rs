@@ -117,33 +117,48 @@ pub fn validate_iter<I: IntoIterator<Item = Inst>>(insts: I, limit: usize) -> Ve
         if out.len() >= limit {
             break;
         }
-        check_inst(index, &inst, &mut out);
+        check_inst(index, &inst, |v| out.push(v));
     }
     out
 }
 
-fn check_inst(index: usize, inst: &Inst, out: &mut Vec<Violation>) {
+/// Whether every instruction of `block` satisfies every invariant —
+/// the per-block check a replay runs on freshly decoded instructions
+/// before they may enter the pipeline. [`validate_iter`] then says
+/// which invariants a failing trace breaks.
+pub fn block_is_valid(block: &[Inst]) -> bool {
+    let mut valid = true;
+    for (index, inst) in block.iter().enumerate() {
+        check_inst(index, inst, |_| valid = false);
+    }
+    valid
+}
+
+/// The invariants, checked on one instruction; `report` receives each
+/// violation in a fixed order.
+#[inline]
+fn check_inst(index: usize, inst: &Inst, mut report: impl FnMut(Violation)) {
     if inst.pc < CODE_BASE || inst.pc >= DATA_BASE {
-        out.push(Violation::PcOutOfRange { index, pc: inst.pc });
+        report(Violation::PcOutOfRange { index, pc: inst.pc });
     }
     if !inst.pc.is_multiple_of(4) {
-        out.push(Violation::PcMisaligned { index, pc: inst.pc });
+        report(Violation::PcMisaligned { index, pc: inst.pc });
     }
     match inst.op {
         op if op.is_mem() => {
             if inst.ea < DATA_BASE {
-                out.push(Violation::AddressOutOfRange { index, ea: inst.ea });
+                report(Violation::AddressOutOfRange { index, ea: inst.ea });
             }
             if op.is_load() && !inst.dst.is_some() {
-                out.push(Violation::LoadWithoutDestination { index });
+                report(Violation::LoadWithoutDestination { index });
             }
             if op.is_store() && inst.dst.is_some() {
-                out.push(Violation::StoreWithDestination { index });
+                report(Violation::StoreWithDestination { index });
             }
         }
         OpClass::Branch => {
             if inst.taken() && (inst.ea < CODE_BASE || inst.ea >= DATA_BASE) {
-                out.push(Violation::TargetOutOfRange {
+                report(Violation::TargetOutOfRange {
                     index,
                     target: inst.ea,
                 });
@@ -151,7 +166,7 @@ fn check_inst(index: usize, inst: &Inst, out: &mut Vec<Violation>) {
         }
         _ => {
             if inst.flags >> crate::inst::flags::WIDTH_SHIFT != 0 {
-                out.push(Violation::UnexpectedWidth { index });
+                report(Violation::UnexpectedWidth { index });
             }
         }
     }
