@@ -843,15 +843,16 @@ impl Engine {
     }
 
     /// Runs `req` against a prebuilt on-disk database
-    /// ([`sapa_bioseq::index::IndexReader`]), decoding one shard at a
-    /// time and applying [`SearchRequest::prefilter`] before scoring —
-    /// see [`crate::indexed`] for the pipeline and its guarantees.
+    /// ([`sapa_bioseq::index::IndexReader`]), applying
+    /// [`SearchRequest::prefilter`] first and decoding only the subjects
+    /// it keeps, one shard group at a time — see [`crate::indexed`] for
+    /// the pipeline and its guarantees.
     ///
     /// Ranked hit indices refer to the database's (length-sorted)
     /// sequence order. This path is score-only:
     /// [`SearchRequest::report_alignments`] is ignored and hits carry
     /// `alignment: None` (the subjects are not resident once their
-    /// shard is dropped).
+    /// shard group's buffer is reused).
     ///
     /// # Errors
     ///

@@ -1,7 +1,7 @@
 //! Database search over a prebuilt on-disk index: the BLAST-shaped
 //! two-stage pipeline (seed prefilter → full rescore) running against
-//! [`sapa_bioseq::index`] databases without ever materializing the
-//! whole database in memory.
+//! [`sapa_bioseq::index`] databases, decoding only the subjects it
+//! scores.
 //!
 //! The pipeline per request:
 //!
@@ -18,15 +18,19 @@
 //!    [`AlignmentEngine::cost_len`] on the on-disk length table, so
 //!    partial responses stay deterministic at any thread count and no
 //!    sequence data is decoded for subjects the budget rejects.
-//! 3. **Shard-streamed rescore** — candidates are grouped by shard
+//! 3. **Shard-grouped rescore** — candidates are grouped by shard
 //!    (contiguous in the length-sorted order, so every batch the
-//!    striped kernels see has near-uniform subject lengths); each
-//!    shard is checksum-verified, decoded into one reusable buffer,
-//!    optionally gated through the X-drop extension, and scored by the
-//!    engine through the same chunked work-claiming loop
+//!    striped kernels see has near-uniform subject lengths). Only each
+//!    group's candidates are decoded, into one reusable buffer, from
+//!    the shard's packed blob, which the reader checksum-verifies on
+//!    its first read and keeps from then on
+//!    ([`IndexReader::read_sequences`]). The group is then optionally
+//!    gated through the X-drop extension and scored by the engine
+//!    through the same chunked work-claiming loop
 //!    ([`crate::parallel::engine_scores`]) as in-memory scans —
-//!    panic-quarantine included. Peak residue memory is one shard, not
-//!    the database.
+//!    panic-quarantine included. Decoded residues never exceed one
+//!    shard; the reader's kept blobs grow to 0.625 bytes per residue
+//!    of the shards searched so far.
 //!
 //! Determinism: with [`Prefilter::Off`] or [`Prefilter::Seed`] and no
 //! wall-clock deadline, the response (hits, stats, coverage) is a pure
@@ -173,7 +177,7 @@ pub fn search_reader<R: Read + Seek, E: AlignmentEngine>(
         debug_assert_eq!(at, candidates.len());
     }
 
-    // Stage 3: stream shards, gate, rescore.
+    // Stage 3: per shard group, decode, gate, rescore.
     let mut results = TopK::new(req.top_k);
     let mut quarantined: Vec<Quarantined> = Vec::new();
     let mut attempted = 0usize;
@@ -188,14 +192,16 @@ pub fn search_reader<R: Read + Seek, E: AlignmentEngine>(
             truncated_by = Some(DeadlineKind::Wall);
             break;
         }
-        db.read_shard(shard_idx, &mut buf)?;
-        let shard_start = db.shards()[shard_idx].seq_start;
+        // Decode only this group's candidates; the extension gate
+        // below needs their residues.
+        let group = &candidates[range.clone()];
+        db.read_sequences(shard_idx, group.iter().map(|c| c.seq), &mut buf)?;
 
         // Optional extension gate, then the surviving slice batch.
         let mut survivors: Vec<usize> = Vec::with_capacity(range.len());
         let mut slices: Vec<&[AminoAcid]> = Vec::with_capacity(range.len());
-        for (pos, cand) in candidates[range.clone()].iter().enumerate() {
-            let subject = buf.sequence(cand.seq - shard_start);
+        for (pos, cand) in group.iter().enumerate() {
+            let subject = buf.sequence(pos);
             if let Prefilter::SeedExtend {
                 x, min_extended, ..
             } = effective

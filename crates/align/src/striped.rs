@@ -89,9 +89,12 @@ struct Rows<T> {
 }
 
 impl<T: Copy> Rows<T> {
-    /// Sizes the rows for `len` elements: H starts at `zero`, E at
-    /// `dead`.
-    fn reset(&mut self, len: usize, zero: T, dead: T) {
+    /// Sizes the rows for `len` elements — H starts at `zero`, E at
+    /// `dead` — and lends them out as `(h_store, h_load, e)` slices of
+    /// exactly `len` elements. A kernel swaps the two H slices between
+    /// columns in registers, and the columns' loops over equal-length
+    /// slices need no per-column length bookkeeping.
+    fn reset(&mut self, len: usize, zero: T, dead: T) -> (&mut [T], &mut [T], &mut [T]) {
         for (row, fill) in [
             (&mut self.h_store, zero),
             (&mut self.h_load, zero),
@@ -100,6 +103,11 @@ impl<T: Copy> Rows<T> {
             row.clear();
             row.resize(len, fill);
         }
+        (
+            &mut self.h_store[..len],
+            &mut self.h_load[..len],
+            &mut self.e[..len],
+        )
     }
 }
 
@@ -189,10 +197,11 @@ pub fn score_with_lanes<V: Lanes<Elem = i16>, const L: usize>(
         return 0;
     }
     let consts = WordConsts::new(gaps);
-    ws.rows.reset(profile.word_segments() * L, 0, WORD_PAD);
+    let (mut h, mut h_prev, e) = ws.rows.reset(profile.word_segments() * L, 0, WORD_PAD);
     let mut vmax = consts.zero;
     for &bj in b {
-        vmax = word_column::<V, L>(profile.word_row(bj), &mut ws.rows, &consts, vmax);
+        std::mem::swap(&mut h, &mut h_prev);
+        vmax = word_column::<V, L>(profile.word_row(bj), h, h_prev, e, &consts, vmax);
     }
     i32::from(vmax.horizontal_max()).max(0)
 }
@@ -218,52 +227,56 @@ impl<V: Lanes<Elem = i16>> WordConsts<V> {
 
 /// One subject column of the 16-bit kernels against profile `row`:
 /// the striped recurrence over every segment, then the lazy-F repair.
-/// Leaves the column's H in `rows.h_store` and returns `vmax` raised
-/// by every H it computed.
+/// Reads the previous column's H from `h_prev`, leaves this column's
+/// in `h`, and returns `vmax` raised by every H it computed.
 #[inline(always)]
 fn word_column<V: Lanes<Elem = i16>, const L: usize>(
     row: &[i16],
-    rows: &mut Rows<i16>,
+    h: &mut [i16],
+    h_prev: &[i16],
+    e: &mut [i16],
     k: &WordConsts<V>,
     mut vmax: V,
 ) -> V {
-    let segs = row.len() / L;
     // F starts dead: within-column chains that cross a lane boundary
     // are repaired by the lazy-F loop below.
     let mut vf = k.dead;
     // The diagonal input of segment 0 is the previous column's last
     // segment shifted one lane up; lane 0 gets the H[0][j-1] = 0
     // local-alignment boundary.
-    let mut vh = V::load(&rows.h_store[(segs - 1) * L..]).shift_in_first(0);
-    std::mem::swap(&mut rows.h_store, &mut rows.h_load);
+    let mut diag = V::load(&h_prev[h_prev.len() - L..]).shift_in_first(0);
+    // Sliced once to the rows' length, so the four rows zip evenly.
+    let row = &row[..h.len()];
 
     for (((p, h_out), h_in), e_row) in row
         .chunks_exact(L)
-        .zip(rows.h_store.chunks_exact_mut(L))
-        .zip(rows.h_load.chunks_exact(L))
-        .zip(rows.e.chunks_exact_mut(L))
+        .zip(h.chunks_exact_mut(L))
+        .zip(h_prev.chunks_exact(L))
+        .zip(e.chunks_exact_mut(L))
     {
+        // Take this segment's diagonal input and load the next one,
+        // this segment's H of the previous column, before it is needed:
+        // loaded last, the emulated lanes compiled to byte-wise loads.
+        let vh = std::mem::replace(&mut diag, V::load(h_in));
         // One load replaces the anti-diagonal kernel's per-cell score
         // gather.
-        vh = vh.adds(V::load(p));
         let e = V::load(e_row);
-        vh = vh.max(e).max(vf).max(k.zero);
+        let vh = vh.adds(V::load(p)).max(e).max(vf).max(k.zero);
         vmax = vmax.max(vh);
         vh.store(h_out);
 
         let h_open = vh.subs(k.open_ext);
         e.subs(k.ext).max(h_open).store(e_row);
         vf = vf.subs(k.ext).max(h_open);
-
-        vh = V::load(h_in);
     }
 
-    lazy_f::<V, L>(rows, vf, k.open_ext, k.ext, WORD_PAD, vmax)
+    lazy_f::<V, L>(h, e, vf, k.open_ext, k.ext, WORD_PAD, vmax)
 }
 
 /// The deconstructed lazy-F correction (Snytsar) closing a column of
-/// either precision: `vf` is the column's last F, `dead` the lane value
-/// of a dead F. Returns `vmax` raised by every H it raised.
+/// either precision, over the column's H row `h` and the E row `e`:
+/// `vf` is the column's last F, `dead` the lane value of a dead F.
+/// Returns `vmax` raised by every H it raised.
 ///
 /// The common no-correction column is one predicate — shift, subtract,
 /// compare — with no wrap iteration and no stores. Only when it fires
@@ -276,7 +289,8 @@ fn word_column<V: Lanes<Elem = i16>, const L: usize>(
 /// measurement predates the SSE2 lanes and was not repeated on them.
 #[inline(always)]
 fn lazy_f<V: Lanes, const L: usize>(
-    rows: &mut Rows<V::Elem>,
+    h: &mut [V::Elem],
+    e: &mut [V::Elem],
     vf: V,
     open_ext: V,
     ext: V,
@@ -284,13 +298,9 @@ fn lazy_f<V: Lanes, const L: usize>(
     mut vmax: V,
 ) -> V {
     let mut vf = vf.shift_in_first(dead);
-    if vf.any_gt(V::load(&rows.h_store).subs(open_ext)) {
+    if vf.any_gt(V::load(h).subs(open_ext)) {
         'lazy: for _ in 0..L {
-            for (h_row, e_row) in rows
-                .h_store
-                .chunks_exact_mut(L)
-                .zip(rows.e.chunks_exact_mut(L))
-            {
+            for (h_row, e_row) in h.chunks_exact_mut(L).zip(e.chunks_exact_mut(L)) {
                 let h = V::load(h_row).max(vf);
                 h.store(h_row);
                 vmax = vmax.max(h);
@@ -376,40 +386,38 @@ pub fn score_bytes_with_lanes<V: Lanes<Elem = u8>, const L: usize>(
     // Unsigned saturating subtraction floors at 0 — exactly the
     // local-alignment zero floor, so F/E start dead at 0.
     let zero = V::splat(0);
-    let rows = &mut ws.rows;
-
-    rows.reset(segs * L, 0, 0);
+    let (mut h, mut h_prev, e) = ws.rows.reset(segs * L, 0, 0);
     let mut vmax = zero;
 
     for &bj in b {
-        let row = profile.byte_row(bj).expect("byte layout checked above");
+        // Sliced once to the rows' length, so the four rows zip evenly.
+        let row = &profile.byte_row(bj).expect("byte layout checked above")[..h.len()];
+        std::mem::swap(&mut h, &mut h_prev);
         let mut vf = zero;
-        let mut vh = V::load(&rows.h_store[(segs - 1) * L..]).shift_in_first(0);
-        std::mem::swap(&mut rows.h_store, &mut rows.h_load);
+        let mut diag = V::load(&h_prev[h_prev.len() - L..]).shift_in_first(0);
 
         for (((p, h_out), h_in), e_row) in row
             .chunks_exact(L)
-            .zip(rows.h_store.chunks_exact_mut(L))
-            .zip(rows.h_load.chunks_exact(L))
-            .zip(rows.e.chunks_exact_mut(L))
+            .zip(h.chunks_exact_mut(L))
+            .zip(h_prev.chunks_exact(L))
+            .zip(e.chunks_exact_mut(L))
         {
-            vh = vh.adds(V::load(p)).subs(bias_v);
+            // The next diagonal input is loaded first, as in `word_column`.
+            let vh = std::mem::replace(&mut diag, V::load(h_in));
             let e = V::load(e_row);
-            vh = vh.max(e).max(vf);
+            let vh = vh.adds(V::load(p)).subs(bias_v).max(e).max(vf);
             vmax = vmax.max(vh);
             vh.store(h_out);
 
             let h_open = vh.subs(open_ext);
             e.subs(ext).max(h_open).store(e_row);
             vf = vf.subs(ext).max(h_open);
-
-            vh = V::load(h_in);
         }
 
         // Dead is 0 here (the unsigned floor), and the correction fires
         // far more rarely than in 16-bit, because a positive F has to
         // survive the zero floor.
-        vmax = lazy_f::<V, L>(rows, vf, open_ext, ext, 0, vmax);
+        vmax = lazy_f::<V, L>(h, e, vf, open_ext, ext, 0, vmax);
 
         // The guard check is one lane compare: some lane is above
         // `over` exactly when the best score so far has reached the
@@ -510,13 +518,13 @@ pub fn score_ends_with_lanes<V: Lanes<Elem = i16>, const L: usize>(
     let m = profile.query_len();
     let segs = profile.word_segments();
     let consts = WordConsts::new(gaps);
-    let rows = &mut ws.rows;
-    rows.reset(segs * L, 0, WORD_PAD);
+    let (mut h, mut h_prev, e) = ws.rows.reset(segs * L, 0, WORD_PAD);
     let mut vmax = consts.zero;
     let mut best_v = consts.zero;
 
     for (j, &bj) in b.iter().enumerate() {
-        vmax = word_column::<V, L>(profile.word_row(bj), rows, &consts, vmax);
+        std::mem::swap(&mut h, &mut h_prev);
+        vmax = word_column::<V, L>(profile.word_row(bj), h, h_prev, e, &consts, vmax);
 
         // Endpoint tracking: a strict improvement pins this column;
         // the lane-outer / segment-inner sweep visits cells in
@@ -524,8 +532,7 @@ pub fn score_ends_with_lanes<V: Lanes<Elem = i16>, const L: usize>(
         // query index. Padding cells can never attain a new best —
         // their H descends (gap-penalised) from a real cell already
         // folded into the running best.
-        let colv = rows
-            .h_store
+        let colv = h
             .chunks_exact(L)
             .fold(consts.zero, |acc, h| acc.max(V::load(h)));
         if colv.any_gt(best_v) {
@@ -533,7 +540,7 @@ pub fn score_ends_with_lanes<V: Lanes<Elem = i16>, const L: usize>(
             best_v = V::splat(col_best);
             'find: for k in 0..L {
                 for s in 0..segs {
-                    if rows.h_store[s * L + k] == col_best {
+                    if h[s * L + k] == col_best {
                         let q = k * segs + s;
                         if q < m {
                             ends.query_end = q;

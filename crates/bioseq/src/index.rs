@@ -26,12 +26,16 @@
 //!   BLAST-like prefilter that lets rescoring skip most of the
 //!   database (`sapa_align::indexed` builds the full pipeline on top).
 //!
-//! The [`IndexReader`] is a *streaming* reader: opening a database
-//! loads only metadata (lengths, ids, shard directory, seed index);
-//! packed residue data stays on disk and is decoded one shard at a
-//! time into a caller-owned reusable [`ShardBuf`]. Residues dominate
-//! real databases (SwissProt in the paper: 62.6 M residues), so peak
-//! memory is O(largest shard), not O(database).
+//! Opening a database with [`IndexReader`] loads only metadata
+//! (lengths, ids, shard directory, seed index). A shard's packed blob is
+//! read and checksum-verified the first time a read needs it, and the
+//! reader keeps the verified bytes, so later reads of that shard decode
+//! from memory with no second read or checksum. Kept blobs cost 0.625
+//! bytes per residue, a twentieth of the ~13 bytes per residue the
+//! resident seed index already takes. A read decodes a whole shard
+//! ([`IndexReader::read_shard`]) or only the listed sequences of one
+//! shard ([`IndexReader::read_sequences`]) into a caller-owned reusable
+//! [`ShardBuf`], so decoded residues never exceed one shard.
 //!
 //! ```
 //! use sapa_bioseq::db::DatabaseBuilder;
@@ -45,13 +49,15 @@
 //! let mut reader = IndexReader::from_reader(std::io::Cursor::new(file))?;
 //! assert_eq!(reader.seq_count(), 40);
 //! let mut buf = ShardBuf::new();
-//! reader.read_shard(0, &mut buf)?;          // only this shard is resident
+//! reader.read_shard(0, &mut buf)?;          // reads and verifies shard 0
 //! assert!(buf.seq_count() > 0);
+//! let first = buf.sequence(0).to_vec();
+//! reader.read_sequences(0, [0], &mut buf)?;  // decodes from the kept blob
+//! assert_eq!(buf.sequence(0), &first[..]);
 //! # Ok(())
 //! # }
 //! ```
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -227,7 +233,18 @@ pub struct SeedIndex {
     /// `(sequence, position)` pairs, grouped by word hash, each group
     /// ascending by `(sequence, position)`.
     postings: Vec<(u32, u32)>,
+    /// Prefix-bucket table over `keys`: the keys whose hash divided by
+    /// `bucket_div` is `b` (the words sharing their first
+    /// `min(word_len, 3)` residues) are `keys[buckets[b]..buckets[b +
+    /// 1]]`. Derived from `keys`, never stored on disk.
+    buckets: Vec<u32>,
+    bucket_div: u32,
 }
+
+/// Leading residues of a word that pick its bucket: 20³ = 8,000
+/// buckets, a 32 KB table, leave ~130 keys per bucket on the 1 M-key
+/// index of a 1.7 M-residue database.
+const BUCKET_RESIDUES: usize = 3;
 
 impl SeedIndex {
     /// Indexes every word of `word_len` standard residues in
@@ -243,11 +260,8 @@ impl SeedIndex {
         assert!((1..=7).contains(&word_len), "word length must be 1..=7");
         let mut raw: Vec<(u32, u32, u32)> = Vec::new();
         for (seq, residues) in sequences.into_iter().enumerate() {
-            if residues.len() < word_len {
-                continue;
-            }
-            for pos in 0..=(residues.len() - word_len) {
-                if let Some(h) = word_hash(&residues[pos..pos + word_len]) {
+            for (pos, window) in residues.windows(word_len).enumerate() {
+                if let Some(h) = word_hash(window) {
                     raw.push((h, seq as u32, pos as u32));
                 }
             }
@@ -261,10 +275,24 @@ impl SeedIndex {
             }
             postings.push((seq, pos));
         }
+        SeedIndex::with_buckets(word_len, keys, postings)
+    }
+
+    /// Assembles an index from sorted keys (every hash below 20^k) and
+    /// their postings, deriving the bucket table.
+    fn with_buckets(word_len: usize, keys: Vec<(u32, u32)>, postings: Vec<(u32, u32)>) -> Self {
+        let prefix = word_len.min(BUCKET_RESIDUES);
+        let bucket_div = 20u32.pow((word_len - prefix) as u32);
+        // Bucket b starts at the first key at or above its smallest word.
+        let buckets = (0..=20u32.pow(prefix as u32))
+            .map(|b| keys.partition_point(|&(h, _)| h < b * bucket_div) as u32)
+            .collect();
         SeedIndex {
             word_len,
             keys,
             postings,
+            buckets,
+            bucket_div,
         }
     }
 
@@ -283,10 +311,17 @@ impl SeedIndex {
         self.postings.len()
     }
 
-    /// The postings for one word hash (possibly empty).
+    /// The postings for one word hash (possibly empty): a bucket-table
+    /// lookup, then a binary search over that bucket's keys only.
     pub fn postings(&self, hash: u32) -> &[(u32, u32)] {
-        match self.keys.binary_search_by_key(&hash, |&(h, _)| h) {
+        let b = (hash / self.bucket_div) as usize;
+        let Some(&[lo, hi]) = self.buckets.get(b..b + 2) else {
+            return &[]; // not a hash of `word_len` standard residues
+        };
+        let bucket = &self.keys[lo as usize..hi as usize];
+        match bucket.binary_search_by_key(&hash, |&(h, _)| h) {
             Ok(i) => {
+                let i = lo as usize + i;
                 let start = self.keys[i].1 as usize;
                 let end = self
                     .keys
@@ -303,57 +338,57 @@ impl SeedIndex {
     /// survives, with the first seed of its best diagonal recorded for
     /// extension. Deterministic: output depends only on the data.
     ///
+    /// A diagonal's first seed is its earliest hit in query order; the
+    /// best diagonal has the most seeds, the lower diagonal id winning
+    /// a tie; candidates ascend by sequence index.
+    ///
     /// Subjects shorter than the word length can never be seeded and
     /// are **not** returned here — admission policy for them belongs to
     /// the caller (the alignment-layer prefilter admits them
     /// unconditionally).
     pub fn candidates(&self, query: &[AminoAcid], min_diag_seeds: u32) -> SeedScan {
-        let k = self.word_len;
+        let qlen = query.len() as u32;
         let mut query_words = 0usize;
-        // (seq, diagonal) → (count, qpos, spos of first seed).
-        let mut diags: HashMap<(u32, u32), (u32, u32, u32)> = HashMap::new();
-        if query.len() >= k {
-            for qpos in 0..=(query.len() - k) {
-                let Some(h) = word_hash(&query[qpos..qpos + k]) else {
-                    continue;
-                };
-                query_words += 1;
-                for &(seq, spos) in self.postings(h) {
-                    // Diagonal id offset by the query length keeps it
-                    // non-negative: spos - qpos + |q|.
-                    let diag = spos + query.len() as u32 - qpos as u32;
-                    let entry = diags.entry((seq, diag)).or_insert((0, qpos as u32, spos));
-                    entry.0 += 1;
+        // One `[seq, diagonal, qpos, spos]` per word hit, in query order.
+        // The diagonal id is offset by the query length to keep it
+        // non-negative: spos - qpos + |q|.
+        let mut hits: Vec<[u32; 4]> = Vec::new();
+        for (qpos, window) in query.windows(self.word_len).enumerate() {
+            let Some(h) = word_hash(window) else {
+                continue;
+            };
+            query_words += 1;
+            let qpos = qpos as u32;
+            hits.extend(
+                self.postings(h)
+                    .iter()
+                    .map(|&(seq, spos)| [seq, spos + qlen - qpos, qpos, spos]),
+            );
+        }
+        // A stable sort keeps each (seq, diagonal) run in query order,
+        // so a run's first element is that diagonal's first seed.
+        hits.sort_by_key(|&[seq, diag, _, _]| (u64::from(seq) << 32) | u64::from(diag));
+        let mut candidates = Vec::new();
+        for seq_run in hits.chunk_by(|a, b| a[0] == b[0]) {
+            // Diagonals ascend within the run, so a strict `>` keeps the
+            // lower diagonal on a tie.
+            let mut best = (0u32, seq_run[0]);
+            for diag_run in seq_run.chunk_by(|a, b| a[1] == b[1]) {
+                let seeds = diag_run.len() as u32;
+                if seeds > best.0 {
+                    best = (seeds, diag_run[0]);
                 }
             }
-        }
-        // Fold diagonals to the best per sequence, with deterministic
-        // tie-breaks (more seeds, then lower diagonal id).
-        let mut best: HashMap<u32, (u32, u32, u32, u32)> = HashMap::new();
-        for (&(seq, diag), &(count, qpos, spos)) in &diags {
-            let cand = (count, diag, qpos, spos);
-            match best.get_mut(&seq) {
-                None => {
-                    best.insert(seq, cand);
-                }
-                Some(cur) => {
-                    if count > cur.0 || (count == cur.0 && diag < cur.1) {
-                        *cur = cand;
-                    }
-                }
+            let (seeds, [seq, _, qpos, spos]) = best;
+            if seeds >= min_diag_seeds {
+                candidates.push(SeedCandidate {
+                    seq,
+                    seeds,
+                    qpos,
+                    spos,
+                });
             }
         }
-        let mut candidates: Vec<SeedCandidate> = best
-            .into_iter()
-            .filter(|&(_, (count, _, _, _))| count >= min_diag_seeds)
-            .map(|(seq, (seeds, _, qpos, spos))| SeedCandidate {
-                seq,
-                seeds,
-                qpos,
-                spos,
-            })
-            .collect();
-        candidates.sort_unstable_by_key(|c| c.seq);
         SeedScan {
             candidates,
             query_words,
@@ -378,39 +413,70 @@ impl SeedIndex {
         16 + 8 * (self.keys.len() as u64 + self.postings.len() as u64)
     }
 
-    fn read_from<R: Read>(r: &mut R, word_len: usize, seq_count: usize) -> Result<SeedIndex> {
+    /// Reads the seed-index section and checks it against the length
+    /// table: hashes strictly ascending and below 20^k, every key owning
+    /// at least one posting, each key's postings strictly ascending by
+    /// `(sequence, position)` (the order [`SeedIndex::build`] writes, so
+    /// no posting counts twice), and every posting's word inside its
+    /// sequence. The section has no checksum, so a posting whose
+    /// sequence is flipped to another valid one that is long enough
+    /// still goes undetected.
+    fn read_from<R: Read>(r: &mut R, word_len: usize, lengths: &[u32]) -> Result<SeedIndex> {
+        let words = 20u32.pow(word_len as u32);
         let n_keys = r64(r)? as usize;
-        let mut keys = Vec::with_capacity(n_keys.min(1 << 24));
-        let mut prev_hash: Option<u32> = None;
+        let mut keys: Vec<(u32, u32)> = Vec::with_capacity(n_keys.min(1 << 24));
         for _ in 0..n_keys {
             let h = r32(r)?;
             let start = r32(r)?;
-            if prev_hash.is_some_and(|p| p >= h) {
-                return Err(corrupt("seed-index hashes not strictly ascending"));
+            if h >= words {
+                return Err(corrupt("seed-index hash is not a word hash"));
             }
-            prev_hash = Some(h);
+            match keys.last() {
+                None if start != 0 => {
+                    return Err(corrupt("seed-index postings do not start at the first key"))
+                }
+                Some(&(ph, ps)) if ph >= h || ps >= start => {
+                    return Err(corrupt("seed-index keys not strictly ascending"))
+                }
+                _ => {}
+            }
             keys.push((h, start));
         }
         let n_postings = r64(r)? as usize;
-        if let Some(&(_, start)) = keys.last() {
-            if (start as usize) > n_postings {
-                return Err(corrupt("seed-index key points past postings"));
-            }
+        if keys
+            .last()
+            .map_or(n_postings != 0, |&(_, s)| s as usize >= n_postings)
+        {
+            return Err(corrupt("seed-index keys and postings disagree"));
         }
-        let mut postings = Vec::with_capacity(n_postings.min(1 << 26));
-        for _ in 0..n_postings {
+        let mut postings: Vec<(u32, u32)> = Vec::with_capacity(n_postings.min(1 << 26));
+        // Key boundaries fall irregularly, so the two checks below
+        // accumulate without branching: a branch taken at each key's
+        // first posting mispredicts, and cost more than the reads.
+        let (mut next_key, mut prev, mut outside, mut unordered) = (0, 0u64, false, false);
+        for i in 0..n_postings {
             let seq = r32(r)?;
             let pos = r32(r)?;
-            if seq as usize >= seq_count {
+            let Some(&len) = lengths.get(seq as usize) else {
                 return Err(corrupt("seed-index posting references unknown sequence"));
-            }
+            };
+            outside |= u64::from(pos) + word_len as u64 > u64::from(len);
+            // `(seq, pos)` as one number: within a key each posting
+            // must be above the one before it.
+            let here = (u64::from(seq) << 32) | u64::from(pos);
+            let first_of_key = keys.get(next_key).is_some_and(|&(_, s)| s as usize == i);
+            next_key += usize::from(first_of_key);
+            unordered |= !first_of_key & (here <= prev);
+            prev = here;
             postings.push((seq, pos));
         }
-        Ok(SeedIndex {
-            word_len,
-            keys,
-            postings,
-        })
+        if outside {
+            return Err(corrupt("seed-index posting lies outside its sequence"));
+        }
+        if unordered {
+            return Err(corrupt("seed-index postings not strictly ascending"));
+        }
+        Ok(SeedIndex::with_buckets(word_len, keys, postings))
     }
 }
 
@@ -674,15 +740,14 @@ const SHARD_DIR_ENTRY_LEN: u64 = 8 * 4 + 4 * 4 + 8 * (AminoAcid::COUNT as u64);
 // Reader.
 // ---------------------------------------------------------------------------
 
-/// Reusable decode buffer for one shard: residues plus per-sequence
-/// boundaries. Reusing one `ShardBuf` across [`IndexReader::read_shard`]
-/// calls makes a full-database scan allocation-free after the first
-/// (largest) shard.
+/// Reusable decode buffer for the sequences of one read: residues plus
+/// per-sequence boundaries. Reusing one `ShardBuf` across
+/// [`IndexReader::read_shard`] and [`IndexReader::read_sequences`]
+/// calls makes a database scan allocation-free after the largest read.
 #[derive(Debug, Clone, Default)]
 pub struct ShardBuf {
     residues: Vec<AminoAcid>,
     bounds: Vec<usize>,
-    raw: Vec<u8>,
 }
 
 impl ShardBuf {
@@ -696,7 +761,9 @@ impl ShardBuf {
         self.bounds.len().saturating_sub(1)
     }
 
-    /// The residues of the `local`-th sequence of the decoded shard.
+    /// The residues of the `local`-th decoded sequence: the shard's
+    /// `local`-th sequence after [`IndexReader::read_shard`], the
+    /// `local`-th listed one after [`IndexReader::read_sequences`].
     ///
     /// # Panics
     ///
@@ -704,11 +771,21 @@ impl ShardBuf {
     pub fn sequence(&self, local: usize) -> &[AminoAcid] {
         &self.residues[self.bounds[local]..self.bounds[local + 1]]
     }
+
+    fn clear(&mut self) {
+        self.residues.clear();
+        self.bounds.clear();
+        self.bounds.push(0);
+    }
 }
 
-/// Streaming reader over an on-disk database: metadata (lengths, ids,
-/// shard directory, seed index) is resident; packed residues are
-/// decoded shard-at-a-time via [`IndexReader::read_shard`].
+/// Reader over an on-disk database. Opening it loads the metadata
+/// (lengths, ids, shard directory, seed index). Each shard's packed
+/// blob is read and checksum-verified the first time a read needs it
+/// and kept from then on, so every later read of that shard decodes
+/// from memory. Reads decode into a caller-owned [`ShardBuf`]: a whole
+/// shard ([`IndexReader::read_shard`]) or only the listed sequences of
+/// one ([`IndexReader::read_sequences`]).
 #[derive(Debug)]
 pub struct IndexReader<R> {
     src: R,
@@ -716,8 +793,13 @@ pub struct IndexReader<R> {
     seq_count: usize,
     total_residues: u64,
     lengths: Vec<u32>,
+    /// Byte offset of each sequence's packed residues inside its
+    /// shard's blob (every sequence starts on a byte boundary).
+    packed_at: Vec<usize>,
     names: Vec<(String, String)>,
     shards: Vec<ShardInfo>,
+    /// Each shard's packed blob, kept once its checksum has passed.
+    blobs: Vec<Option<Box<[u8]>>>,
     seed: SeedIndex,
 }
 
@@ -730,7 +812,8 @@ impl IndexReader<BufReader<File>> {
 
 impl<R: Read + Seek> IndexReader<R> {
     /// Parses the metadata sections of `src` and validates their
-    /// structure. Sequence data is *not* read.
+    /// structure. Sequence data is *not* read: a shard's blob is read
+    /// and checksummed by the first read that needs it.
     ///
     /// # Errors
     ///
@@ -785,6 +868,7 @@ impl<R: Read + Seek> IndexReader<R> {
         }
 
         let mut shards = Vec::with_capacity(shard_count);
+        let mut packed_at = Vec::with_capacity(lengths.len());
         let mut expect_start = 0usize;
         for _ in 0..shard_count {
             let data_offset = r64(&mut src)?;
@@ -817,6 +901,11 @@ impl<R: Read + Seek> IndexReader<R> {
             {
                 return Err(corrupt("shard directory entry is inconsistent"));
             }
+            let mut at = 0usize;
+            for &len in span {
+                packed_at.push(at);
+                at += packed_len(len as usize);
+            }
             shards.push(ShardInfo {
                 data_offset,
                 data_len,
@@ -833,7 +922,7 @@ impl<R: Read + Seek> IndexReader<R> {
             return Err(corrupt("shard directory does not cover every sequence"));
         }
 
-        let seed = SeedIndex::read_from(&mut src, word_len, seq_count)?;
+        let seed = SeedIndex::read_from(&mut src, word_len, &lengths)?;
 
         Ok(IndexReader {
             src,
@@ -841,7 +930,9 @@ impl<R: Read + Seek> IndexReader<R> {
             seq_count,
             total_residues,
             lengths,
+            packed_at,
             names,
+            blobs: vec![None; shards.len()],
             shards,
             seed,
         })
@@ -920,8 +1011,10 @@ impl<R: Read + Seek> IndexReader<R> {
         freqs
     }
 
-    /// Decodes shard `shard` into `buf`, replacing its contents. The
-    /// packed bytes are checksum-verified before decoding, so a
+    /// Decodes shard `shard` into `buf`, replacing its contents:
+    /// `buf.sequence(local)` is the shard's `local`-th sequence. This is
+    /// [`IndexReader::read_sequences`] over every sequence of the shard,
+    /// so the blob is checksum-verified before its first decode and a
     /// corrupted file yields [`Error::InvalidIndex`], never garbage
     /// residues or a panic.
     ///
@@ -930,32 +1023,77 @@ impl<R: Read + Seek> IndexReader<R> {
     /// Panics if `shard` is out of bounds.
     pub fn read_shard(&mut self, shard: usize, buf: &mut ShardBuf) -> Result<()> {
         let info = &self.shards[shard];
-        buf.raw.clear();
-        buf.raw.resize(info.data_len as usize, 0);
-        self.src.seek(SeekFrom::Start(info.data_offset))?;
-        self.src.read_exact(&mut buf.raw)?;
-        if fnv1a(&buf.raw, FNV_OFFSET) != info.checksum {
-            return Err(corrupt(format!("shard {shard} checksum mismatch")));
-        }
-        buf.residues.clear();
-        buf.residues.reserve(info.residues as usize);
-        buf.bounds.clear();
-        buf.bounds.push(0);
-        let mut at = 0usize;
-        for &len in &self.lengths[info.seq_start..info.seq_start + info.seq_count] {
-            let len = len as usize;
-            let nbytes = packed_len(len);
-            unpack_into(&mut buf.residues, &buf.raw[at..at + nbytes], len)?;
-            at += nbytes;
+        let seqs = info.seq_start..info.seq_start + info.seq_count;
+        self.read_sequences(shard, seqs, buf)
+    }
+
+    /// Decodes the listed sequences of shard `shard` into `buf`,
+    /// replacing its contents: `buf.sequence(i)` is the `i`-th listed
+    /// sequence. `seqs` are global (database-order) indices; listing
+    /// them ascending keeps the decode a forward walk over the blob.
+    ///
+    /// The first read of a shard seeks to its blob, reads it and checks
+    /// its FNV-1a checksum; the reader keeps the blob only once the
+    /// check has passed, and decodes every later read of that shard from
+    /// memory. A failed check is not remembered: every read of a
+    /// corrupted shard re-reads it and fails again, and other shards are
+    /// unaffected. On any error `buf` is left empty.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidIndex`] on a checksum mismatch or an invalid
+    /// residue code; [`Error::Io`] on read failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of bounds or a listed sequence is not in
+    /// it.
+    pub fn read_sequences<I>(&mut self, shard: usize, seqs: I, buf: &mut ShardBuf) -> Result<()>
+    where
+        I: IntoIterator<Item = usize>,
+    {
+        buf.clear();
+        self.verify(shard)?;
+        let info = &self.shards[shard];
+        let range = info.seq_start..info.seq_start + info.seq_count;
+        let blob = self.blobs[shard].as_deref().expect("verified above");
+        for seq in seqs {
+            assert!(
+                range.contains(&seq),
+                "sequence {seq} is not in shard {shard}"
+            );
+            let len = self.lengths[seq] as usize;
+            let at = self.packed_at[seq];
+            if let Err(e) = unpack_into(&mut buf.residues, &blob[at..at + packed_len(len)], len) {
+                buf.clear();
+                return Err(e);
+            }
             buf.bounds.push(buf.residues.len());
         }
         Ok(())
     }
 
+    /// Reads shard `shard`'s blob and checks its checksum, unless an
+    /// earlier read already kept it.
+    fn verify(&mut self, shard: usize) -> Result<()> {
+        if self.blobs[shard].is_some() {
+            return Ok(());
+        }
+        let info = &self.shards[shard];
+        let mut blob = vec![0u8; info.data_len as usize].into_boxed_slice();
+        self.src.seek(SeekFrom::Start(info.data_offset))?;
+        self.src.read_exact(&mut blob)?;
+        if fnv1a(&blob, FNV_OFFSET) != info.checksum {
+            return Err(corrupt(format!("shard {shard} checksum mismatch")));
+        }
+        self.blobs[shard] = Some(blob);
+        Ok(())
+    }
+
     /// Decodes the whole database back into owned [`Sequence`]s, in
     /// database (length-sorted) order. Convenience for tests, tools,
-    /// and exhaustive-scan baselines — defeats the streaming design on
-    /// purpose.
+    /// and exhaustive-scan baselines — holds every residue decoded at
+    /// once, on purpose.
     pub fn read_all(&mut self) -> Result<Vec<Sequence>> {
         let mut out = Vec::with_capacity(self.seq_count);
         let mut buf = ShardBuf::new();
@@ -980,6 +1118,8 @@ mod tests {
     use super::*;
     use crate::db::DatabaseBuilder;
     use crate::queries::QuerySet;
+    use crate::rng::Xoshiro256;
+    use std::collections::HashMap;
     use std::io::Cursor;
 
     fn build_bytes(seqs: &[Sequence], builder: &IndexBuilder) -> (Vec<u8>, BuildReport) {
@@ -1267,5 +1407,286 @@ mod tests {
         assert_eq!(reader.seq_count(), 35);
         assert_eq!(reader.read_all().unwrap().len(), 35);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// The full binary search over every key that the bucket table
+    /// replaced.
+    fn postings_oracle(idx: &SeedIndex, hash: u32) -> &[(u32, u32)] {
+        match idx.keys.binary_search_by_key(&hash, |&(h, _)| h) {
+            Ok(i) => {
+                let start = idx.keys[i].1 as usize;
+                let end = idx
+                    .keys
+                    .get(i + 1)
+                    .map_or(idx.postings.len(), |&(_, s)| s as usize);
+                &idx.postings[start..end]
+            }
+            Err(_) => &[],
+        }
+    }
+
+    /// The two-`HashMap` seed scan that the sort-based
+    /// [`SeedIndex::candidates`] replaced: its output must stay equal
+    /// to this bit for bit.
+    fn candidates_oracle(idx: &SeedIndex, query: &[AminoAcid], min_diag_seeds: u32) -> SeedScan {
+        let k = idx.word_len();
+        let mut query_words = 0usize;
+        // (seq, diagonal) → (count, qpos, spos of first seed).
+        let mut diags: HashMap<(u32, u32), (u32, u32, u32)> = HashMap::new();
+        if query.len() >= k {
+            for qpos in 0..=(query.len() - k) {
+                let Some(h) = word_hash(&query[qpos..qpos + k]) else {
+                    continue;
+                };
+                query_words += 1;
+                for &(seq, spos) in postings_oracle(idx, h) {
+                    let diag = spos + query.len() as u32 - qpos as u32;
+                    let entry = diags.entry((seq, diag)).or_insert((0, qpos as u32, spos));
+                    entry.0 += 1;
+                }
+            }
+        }
+        // Best diagonal per sequence: more seeds, then lower diagonal.
+        let mut best: HashMap<u32, (u32, u32, u32, u32)> = HashMap::new();
+        for (&(seq, diag), &(count, qpos, spos)) in &diags {
+            let cand = (count, diag, qpos, spos);
+            match best.get_mut(&seq) {
+                None => {
+                    best.insert(seq, cand);
+                }
+                Some(cur) => {
+                    if count > cur.0 || (count == cur.0 && diag < cur.1) {
+                        *cur = cand;
+                    }
+                }
+            }
+        }
+        let mut candidates: Vec<SeedCandidate> = best
+            .into_iter()
+            .filter(|&(_, (count, _, _, _))| count >= min_diag_seeds)
+            .map(|(seq, (seeds, _, qpos, spos))| SeedCandidate {
+                seq,
+                seeds,
+                qpos,
+                spos,
+            })
+            .collect();
+        candidates.sort_unstable_by_key(|c| c.seq);
+        SeedScan {
+            candidates,
+            query_words,
+        }
+    }
+
+    /// Residues from a narrow alphabet, so words repeat and diagonals
+    /// collect several seeds; one residue in `ambiguous` is `X`.
+    fn narrow_residues(
+        rng: &mut Xoshiro256,
+        len: usize,
+        symbols: u64,
+        ambiguous: u64,
+    ) -> Vec<AminoAcid> {
+        (0..len)
+            .map(|_| {
+                if ambiguous > 0 && rng.next_below(ambiguous) == 0 {
+                    AminoAcid::Xaa
+                } else {
+                    AminoAcid::from_index(rng.next_below(symbols) as usize).unwrap()
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn candidates_equal_the_hashmap_oracle() {
+        let mut rng = Xoshiro256::new(0x5EED_CA7D);
+        let mut scans = 0;
+        for word_len in 1..=7 {
+            for corpus in 0..6 {
+                // Narrow alphabets give long seed runs, wide ones sparse hits.
+                let symbols = [2, 3, 4, 6, 20, 20][corpus];
+                let seqs: Vec<Vec<AminoAcid>> = (0..24)
+                    .map(|_| {
+                        let len = rng.next_below(70) as usize;
+                        narrow_residues(&mut rng, len, symbols, 25)
+                    })
+                    .collect();
+                let idx = SeedIndex::build(seqs.iter().map(|s| &s[..]), word_len);
+                for q in 0..8 {
+                    let query = match q {
+                        // Shorter than the word, then exactly one word.
+                        0 => narrow_residues(&mut rng, word_len - 1, symbols, 0),
+                        1 => narrow_residues(&mut rng, word_len, symbols, 0),
+                        // A repeated word.
+                        2 => seqs[0]
+                            .iter()
+                            .take(word_len)
+                            .copied()
+                            .cycle()
+                            .take(40)
+                            .collect(),
+                        // A database sequence itself, ambiguity codes included.
+                        3 => seqs[rng.next_below(24) as usize].clone(),
+                        _ => {
+                            let len = rng.next_below(60) as usize;
+                            narrow_residues(&mut rng, len, symbols, 8)
+                        }
+                    };
+                    for min_diag_seeds in 1..=3 {
+                        assert_eq!(
+                            idx.candidates(&query, min_diag_seeds),
+                            candidates_oracle(&idx, &query, min_diag_seeds),
+                            "k={word_len} corpus={corpus} query={q} min={min_diag_seeds}"
+                        );
+                        scans += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(scans, 7 * 6 * 8 * 3);
+    }
+
+    #[test]
+    fn candidates_equal_the_oracle_on_a_realistic_corpus() {
+        let query = QuerySet::paper().default_query().clone();
+        let db = DatabaseBuilder::new()
+            .seed(37)
+            .sequences(300)
+            .homolog_template(query.clone())
+            .build();
+        let idx = SeedIndex::build(db.iter().map(|s| s.residues()), DEFAULT_WORD_LEN);
+        for q in QuerySet::paper().queries() {
+            for min_diag_seeds in 1..=3 {
+                assert_eq!(
+                    idx.candidates(q.residues(), min_diag_seeds),
+                    candidates_oracle(&idx, q.residues(), min_diag_seeds),
+                    "{} min={min_diag_seeds}",
+                    q.id()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_lookup_equals_a_full_binary_search() {
+        let mut rng = Xoshiro256::new(77);
+        for word_len in 1..=7 {
+            let seqs: Vec<Vec<AminoAcid>> = (0..20)
+                .map(|_| narrow_residues(&mut rng, 80, 20, 30))
+                .collect();
+            let idx = SeedIndex::build(seqs.iter().map(|s| &s[..]), word_len);
+            let words = 20u32.pow(word_len as u32);
+            // Every present hash, a sample of absent ones, the range ends
+            // and hashes no word can have.
+            let probes = idx
+                .keys
+                .iter()
+                .map(|&(h, _)| h)
+                .chain((0..500).map(|_| rng.next_below(u64::from(words)) as u32))
+                .chain([0, words - 1, words, words + 1, u32::MAX]);
+            for h in probes {
+                assert_eq!(
+                    idx.postings(h),
+                    postings_oracle(&idx, h),
+                    "k={word_len} h={h}"
+                );
+            }
+            assert_eq!(idx.buckets.last().copied(), Some(idx.keys.len() as u32));
+        }
+    }
+
+    #[test]
+    fn read_sequences_decodes_the_same_residues_as_read_shard() {
+        let db = DatabaseBuilder::new().seed(19).sequences(90).build();
+        let builder = IndexBuilder::new().shard_residues(6 * 1024);
+        let (bytes, report) = build_bytes(db.sequences(), &builder);
+        assert!(report.shard_count > 2, "want several shards");
+        let mut reader = IndexReader::from_reader(Cursor::new(bytes)).unwrap();
+        let mut rng = Xoshiro256::new(5);
+        let (mut whole, mut part) = (ShardBuf::new(), ShardBuf::new());
+        for shard in 0..reader.shards().len() {
+            reader.read_shard(shard, &mut whole).unwrap();
+            let (start, n) = (reader.shards()[shard].seq_start, whole.seq_count());
+            assert_eq!(n, reader.shards()[shard].seq_count);
+            let mut lists: Vec<Vec<usize>> = vec![vec![], vec![0], vec![n - 1], (0..n).collect()];
+            for _ in 0..6 {
+                lists.push((0..n).filter(|_| rng.next_below(3) == 0).collect());
+            }
+            for locals in lists {
+                reader
+                    .read_sequences(shard, locals.iter().map(|&l| start + l), &mut part)
+                    .unwrap();
+                assert_eq!(part.seq_count(), locals.len());
+                for (i, &l) in locals.iter().enumerate() {
+                    assert_eq!(part.sequence(i), whole.sequence(l), "shard {shard} seq {l}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not in shard")]
+    fn read_sequences_rejects_a_sequence_of_another_shard() {
+        let db = DatabaseBuilder::new().seed(19).sequences(90).build();
+        let builder = IndexBuilder::new().shard_residues(6 * 1024);
+        let (bytes, _) = build_bytes(db.sequences(), &builder);
+        let mut reader = IndexReader::from_reader(Cursor::new(bytes)).unwrap();
+        let outside = reader.shards()[1].seq_start;
+        let _ = reader.read_sequences(0, [outside], &mut ShardBuf::new());
+    }
+
+    #[test]
+    fn seed_index_structure_is_checked_at_open() {
+        let db = DatabaseBuilder::new().seed(29).sequences(30).build();
+        let (bytes, _) = build_bytes(db.sequences(), &IndexBuilder::new());
+        let reader = IndexReader::from_reader(Cursor::new(bytes.clone())).unwrap();
+        let idx = reader.seed_index();
+        let (n, n_keys) = (idx.posting_count(), idx.unique_words());
+        // The section is the key count, the `(hash, start)` keys, the
+        // posting count and the `(seq, pos)` postings, right before the
+        // first shard blob.
+        let at = reader.shards()[0].data_offset as usize - 8 * n;
+        let keys_at = at - 8 - 8 * n_keys;
+        let word = |b: &[u8], i: usize| u32::from_le_bytes(b[i..i + 4].try_into().unwrap());
+        let set = |b: &mut Vec<u8>, i: usize, v: u32| b[i..i + 4].copy_from_slice(&v.to_le_bytes());
+        let rejects = |bad: Vec<u8>, what: &str| match IndexReader::from_reader(Cursor::new(bad)) {
+            Err(Error::InvalidIndex { .. }) => {}
+            Err(e) => panic!("{what}: wrong error class {e}"),
+            Ok(_) => panic!("{what}: opened a corrupted seed index"),
+        };
+
+        // A word running past the end of its sequence.
+        let mut bad = bytes.clone();
+        let len = reader.lengths()[word(&bytes, at) as usize];
+        set(&mut bad, at + 4, len + 1 - DEFAULT_WORD_LEN as u32);
+        rejects(bad, "posting past its sequence");
+
+        // Two postings of one key swapped, then one duplicated.
+        let key = (0..n_keys)
+            .find(|&i| {
+                let end = idx.keys.get(i + 1).map_or(n, |&(_, s)| s as usize);
+                end - idx.keys[i].1 as usize >= 2
+            })
+            .expect("some word occurs twice");
+        let p = at + 8 * idx.keys[key].1 as usize;
+        let mut bad = bytes.clone();
+        bad[p..p + 8].copy_from_slice(&bytes[p + 8..p + 16]);
+        bad[p + 8..p + 16].copy_from_slice(&bytes[p..p + 8]);
+        rejects(bad, "postings out of order");
+        let mut bad = bytes.clone();
+        bad.copy_within(p..p + 8, p + 8);
+        rejects(bad, "duplicate posting");
+
+        // Key starts out of order, and a hash no word can have.
+        let mut bad = bytes.clone();
+        set(&mut bad, keys_at + 4, 1);
+        rejects(bad, "first key not at posting 0");
+        let mut bad = bytes.clone();
+        let last_key = keys_at + 8 * (n_keys - 1);
+        set(&mut bad, last_key, 20u32.pow(DEFAULT_WORD_LEN as u32));
+        rejects(bad, "hash out of range");
+
+        // The untouched bytes still open.
+        assert!(IndexReader::from_reader(Cursor::new(bytes)).is_ok());
     }
 }

@@ -16,11 +16,11 @@
 //! by replaying it to the reported score.
 //!
 //! `--db <path>` searches a prebuilt on-disk index (see the `dbbuild`
-//! example) via the streaming shard reader instead of the in-memory
-//! database; `--prefilter` additionally turns on k-mer seed
-//! prefiltering so subjects sharing no word with the query are skipped
-//! before any dynamic programming. The indexed path is score-only, so
-//! `--cigar` is rejected alongside `--db`.
+//! example) via the shard reader instead of the in-memory database;
+//! `--prefilter` additionally turns on k-mer seed prefiltering so
+//! subjects sharing no word with the query are skipped before any
+//! dynamic programming. The indexed path is score-only, so `--cigar`
+//! is rejected alongside `--db`.
 
 use std::time::Instant;
 
