@@ -79,7 +79,7 @@ fn build(c: &mut Criterion, db: &[Sequence], residues: u64) -> Vec<u8> {
     });
     group.bench_function("open_metadata_only", |b| {
         b.iter(|| {
-            IndexReader::from_reader(Cursor::new(bytes.clone()))
+            IndexReader::from_reader(Cursor::new(bytes.as_slice()))
                 .unwrap()
                 .seq_count()
         })

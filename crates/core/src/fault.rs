@@ -254,8 +254,9 @@ impl<E: AlignmentEngine> AlignmentEngine for FaultyEngine<E> {
 /// is armed and the heap is non-empty) at SplitMix64-chosen offsets
 /// with guaranteed-nonzero XOR masks. The stored checksum is *not*
 /// refreshed, so [`PackedTrace::check`] is guaranteed to reject the
-/// result. Returns an unmodified clone when the plan is disabled or
-/// [`FaultSite::TraceCorrupt`] is unarmed.
+/// result, and the result is unverified even if `trace` was verified
+/// ([`PackedTrace::verify`]). Returns an unmodified clone when the plan
+/// is disabled or [`FaultSite::TraceCorrupt`] is unarmed.
 pub fn corrupt_packed(trace: &PackedTrace, plan: &FaultPlan) -> PackedTrace {
     let bytes = trace.heap_bytes();
     if plan.is_disabled() || !plan.armed(FaultSite::TraceCorrupt) || bytes == 0 {

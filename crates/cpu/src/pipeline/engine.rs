@@ -45,7 +45,7 @@ use crate::trauma::{Trauma, TraumaCounts};
 
 use super::lsq::Lsq;
 use super::rename::Rat;
-use super::rob::{Rob, RobEntry, State};
+use super::rob::{Rob, RobEntry, WAITING};
 use super::rs::Stations;
 use super::{diq_trauma, ful_trauma, rg_trauma_for, unit_for, DecodeBuf, InstSource};
 
@@ -280,28 +280,25 @@ impl<'a, S: InstSource> Engine<'a, S> {
         next
     }
 
-    /// Decoded instruction `idx` out of the block buffer, refilling from
-    /// the source when fetch steps past the buffered block; `None` when
-    /// the source withholds the rest of the trace (a checked source
-    /// that found an invariant violation).
+    /// Decoded instruction `idx` (below `n_insts`) out of the block
+    /// buffer, refilling from the source when fetch steps past the
+    /// buffered block.
     ///
     /// Fetch is sequential — `idx` is either the last index served (a
     /// stalled fetch retrying) or the one after it — so the offset into
     /// the current block is always in `0..=block_len`, and a refill is
     /// needed exactly when it equals `block_len`.
     #[inline]
-    fn inst_at(&mut self, idx: usize) -> Option<Inst> {
+    fn inst_at(&mut self, idx: usize) -> Inst {
         let off = idx - self.block_start;
         if off == self.block_len {
             let n = self.src.fill_block(self.block);
-            if n == 0 {
-                return None;
-            }
+            debug_assert!(n > 0, "source ran dry at {idx} of {}", self.n_insts);
             self.block_start = idx;
             self.block_len = n;
-            return Some(self.block[0]);
+            return self.block[0];
         }
-        Some(self.block[off])
+        self.block[off]
     }
 
     fn expire_resolutions(&mut self) {
@@ -316,7 +313,7 @@ impl<'a, S: InstSource> Engine<'a, S> {
         let mut n = 0;
         while n < self.cfg.cpu.retire_width {
             let Some(head) = self.rob.front() else { break };
-            if head.state != State::Executing || head.done_at > self.cycle {
+            if head.done_at > self.cycle {
                 break;
             }
             let inst = head.inst;
@@ -365,7 +362,7 @@ impl<'a, S: InstSource> Engine<'a, S> {
         let Some(e) = self.rob.entry(seq) else {
             return false;
         };
-        if e.state != State::Waiting || e.dispatch_cycle >= now {
+        if e.done_at != WAITING {
             return false;
         }
         for k in 0..e.ndeps as usize {
@@ -460,7 +457,6 @@ impl<'a, S: InstSource> Engine<'a, S> {
         }
         let is_cond = {
             let e = self.rob.entry_mut(seq).expect("entry exists");
-            e.state = State::Executing;
             e.done_at = done_at;
             e.served = served;
             e.tlb_miss = tlb_miss;
@@ -511,8 +507,7 @@ impl<'a, S: InstSource> Engine<'a, S> {
             return;
         };
         debug_assert!(e.probed, "replaying a load that never issued");
-        e.state = State::Waiting;
-        e.done_at = 0;
+        e.done_at = WAITING;
         e.deps[0] = store_seq;
         e.ndeps = 1;
         e.replayed = true;
@@ -603,7 +598,7 @@ impl<'a, S: InstSource> Engine<'a, S> {
             self.rob.push(RobEntry {
                 mispredicted,
                 is_cond_branch: is_cond,
-                ..RobEntry::new(inst, class, self.cycle, deps, ndeps)
+                ..RobEntry::new(inst, class, deps, ndeps)
             });
             self.stations.push(class, seq);
             self.ibuffer.pop_front();
@@ -650,12 +645,7 @@ impl<'a, S: InstSource> Engine<'a, S> {
             }
             // A stalled fetch re-reads the same index next cycle; that
             // repeat stays inside the decoded block buffer.
-            let Some(inst) = self.inst_at(self.next_fetch) else {
-                // The source withheld the rest: end the trace here and
-                // let the pipeline drain.
-                self.n_insts = self.next_fetch;
-                break;
-            };
+            let inst = self.inst_at(self.next_fetch);
             active = true;
 
             // I-cache: accessing a new line may miss.
@@ -711,43 +701,38 @@ impl<'a, S: InstSource> Engine<'a, S> {
     /// Stall-reason attribution for a zero-retire cycle.
     fn blame(&self) -> Trauma {
         if let Some(head) = self.rob.front() {
-            match head.state {
-                State::Executing => {
-                    // Multi-cycle execution at the head: charge the
-                    // resource it occupies.
-                    if head.tlb_miss && head.served == Some(ServedBy::L1) {
-                        // The page walk, not the cache, is the delay.
-                        Trauma::MmTlb1
-                    } else {
-                        match head.served {
-                            Some(ServedBy::L2) => Trauma::MmDl1,
-                            Some(ServedBy::Memory) => Trauma::MmDl2,
-                            _ => rg_trauma_for(head.inst.op, head.served),
+            if head.done_at != WAITING {
+                // Multi-cycle execution at the head: charge the
+                // resource it occupies.
+                if head.tlb_miss && head.served == Some(ServedBy::L1) {
+                    // The page walk, not the cache, is the delay.
+                    Trauma::MmTlb1
+                } else {
+                    match head.served {
+                        Some(ServedBy::L2) => Trauma::MmDl1,
+                        Some(ServedBy::Memory) => Trauma::MmDl2,
+                        _ => rg_trauma_for(head.inst.op, head.served),
+                    }
+                }
+            } else if head.mshr_blocked {
+                Trauma::MmDmqf
+            } else if head.replayed {
+                // Memory-disambiguation replay: the head load was
+                // squashed by a conflicting store and waits to re-issue
+                // — a store-queue conflict.
+                Trauma::MmStqc
+            } else {
+                // First unready dependency decides the blame.
+                for k in 0..head.ndeps as usize {
+                    let dep = head.deps[k];
+                    if !self.rob.dep_ready(dep, self.cycle) {
+                        if let Some(p) = self.rob.entry(dep) {
+                            return rg_trauma_for(p.inst.op, p.served);
                         }
                     }
                 }
-                State::Waiting => {
-                    if head.mshr_blocked {
-                        return Trauma::MmDmqf;
-                    }
-                    if head.replayed {
-                        // Memory-disambiguation replay: the head load
-                        // was squashed by a conflicting store and waits
-                        // to re-issue — a store-queue conflict.
-                        return Trauma::MmStqc;
-                    }
-                    // First unready dependency decides the blame.
-                    for k in 0..head.ndeps as usize {
-                        let dep = head.deps[k];
-                        if !self.rob.dep_ready(dep, self.cycle) {
-                            if let Some(p) = self.rob.entry(dep) {
-                                return rg_trauma_for(p.inst.op, p.served);
-                            }
-                        }
-                    }
-                    // Ready but not issued: all units busy.
-                    ful_trauma(head.queue)
-                }
+                // Ready but not issued: all units busy.
+                ful_trauma(head.queue)
             }
         } else if self.mispredict_blocker.is_some() || self.fetch_stall_reason == Trauma::IfPred {
             Trauma::IfPred

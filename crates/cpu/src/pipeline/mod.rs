@@ -136,7 +136,7 @@ impl Simulator {
     /// sweep engine gives each worker thread one buffer for its whole
     /// job stream.
     pub fn run_packed_with(&self, trace: &PackedTrace, buf: &mut DecodeBuf) -> SimReport {
-        let mut src = PackedSource::new(trace, false);
+        let mut src = trace.block_decoder();
         Engine::new(&self.cfg, trace.len(), &mut src, buf).run()
     }
 
@@ -144,16 +144,13 @@ impl Simulator {
     /// traces, so untrusted bytes yield a typed [`TraceError`] instead of
     /// a panic deep inside the decode or replay loop.
     ///
-    /// Before the replay, [`PackedTrace::check`] verifies the stream
-    /// structure and the checksum, so the decode cannot fail. During the
-    /// replay, every decoded block is checked against the architectural
-    /// invariants of [`sapa_isa::validate`] before the fetch stage may
-    /// read it: a block that breaks one is withheld, the replay ends,
-    /// and a full [`sapa_isa::validate::validate_iter`] pass over the
-    /// trace, stopping once it has found 8 violations, describes the
-    /// error. No instruction
-    /// that fails validation ever enters the pipeline, and a valid trace
-    /// is decoded once.
+    /// Before the replay, [`PackedTrace::verify`] checks the stream
+    /// structure, the checksum and the architectural invariants of
+    /// [`sapa_isa::validate`]; a trace that fails never reaches the
+    /// pipeline. The trace keeps that verdict, so only the first replay
+    /// of a trace pays for it (~45 ns per instruction), and every later
+    /// one — from any thread — decodes unchecked, exactly as
+    /// [`Simulator::run_packed`] does.
     ///
     /// # Errors
     ///
@@ -173,20 +170,8 @@ impl Simulator {
         trace: &PackedTrace,
         buf: &mut DecodeBuf,
     ) -> Result<SimReport, TraceError> {
-        trace.check()?;
-        let mut src = PackedSource::new(trace, true);
-        let report = Engine::new(&self.cfg, trace.len(), &mut src, buf).run();
-        if src.withheld {
-            let violations = sapa_isa::validate::validate_iter(trace.iter(), 8);
-            let first = violations
-                .first()
-                .expect("a withheld block breaks an invariant");
-            return Err(TraceError::Invariant {
-                first: first.to_string(),
-                violations: violations.len(),
-            });
-        }
-        Ok(report)
+        trace.verify()?;
+        Ok(self.run_packed_with(trace, buf))
     }
 }
 
@@ -220,8 +205,8 @@ impl Default for DecodeBuf {
 /// Where the engine pulls instructions from, a block at a time:
 /// `fill_block` decodes up to `buf.len()` instructions into the front
 /// of `buf` and returns how many it wrote (0 once the trace is
-/// exhausted, or once a checked source withholds the rest). Successive
-/// calls continue where the last one stopped.
+/// exhausted). Successive calls continue where the last one stopped.
+/// A source trusts its trace: the checked replay verified it first.
 trait InstSource {
     fn fill_block(&mut self, buf: &mut [Inst]) -> usize;
 }
@@ -244,35 +229,11 @@ impl InstSource for SliceSource<'_> {
 }
 
 /// Compact source: blocks come from [`BlockDecoder::fill`], the
-/// batch-decode fast path over the structure-of-arrays streams. A
-/// checked source runs each decoded block past the trace invariants
-/// before handing it over, and withholds the first block that breaks
-/// one, which ends the replay.
-struct PackedSource<'a> {
-    decoder: BlockDecoder<'a>,
-    checked: bool,
-    withheld: bool,
-}
-
-impl<'a> PackedSource<'a> {
-    fn new(trace: &'a PackedTrace, checked: bool) -> Self {
-        PackedSource {
-            decoder: trace.block_decoder(),
-            checked,
-            withheld: false,
-        }
-    }
-}
-
-impl InstSource for PackedSource<'_> {
+/// batch-decode fast path over the structure-of-arrays streams.
+impl InstSource for BlockDecoder<'_> {
     #[inline]
     fn fill_block(&mut self, buf: &mut [Inst]) -> usize {
-        let n = self.decoder.fill(buf);
-        if self.checked && !sapa_isa::validate::block_is_valid(&buf[..n]) {
-            self.withheld = true;
-            return 0;
-        }
-        n
+        self.fill(buf)
     }
 }
 
@@ -1014,11 +975,15 @@ mod checked_replay_tests {
             let mut cfg = SimConfig::four_way();
             cfg.cpu.issue_model = model;
             let sim = Simulator::new(cfg);
-            assert_eq!(
-                sim.try_run_packed(&packed),
-                Err(want.clone()),
-                "{what} ({model:?})"
-            );
+            // The first call verifies the trace; later ones, here and
+            // under the next model, read the verdict it kept.
+            for call in 0..2 {
+                assert_eq!(
+                    sim.try_run_packed(&packed),
+                    Err(want.clone()),
+                    "{what} ({model:?}, call {call})"
+                );
+            }
         }
     }
 
@@ -1065,6 +1030,7 @@ mod checked_replay_tests {
     fn valid_traces_replay_exactly_as_the_unchecked_path() {
         let packed = PackedTrace::from_insts(&clean(3 * BLOCK_LEN as u32 + 40));
         let sim = Simulator::new(SimConfig::four_way());
+        assert_eq!(sim.try_run_packed(&packed), Ok(sim.run_packed(&packed)));
         assert_eq!(sim.try_run_packed(&packed), Ok(sim.run_packed(&packed)));
         let empty = PackedTrace::default();
         assert_eq!(sim.try_run_packed(&empty), Ok(sim.run_packed(&empty)));

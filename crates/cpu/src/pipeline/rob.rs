@@ -8,29 +8,28 @@
 //! numbers below `head_seq` are known-retired without a lookup. The
 //! ring is at least as large as the configured retire queue, which
 //! dispatch never overfills, so live entries never share a slot.
+//!
+//! An entry is *waiting* in its reservation station — dispatched, or
+//! sent back by a replay — while its `done_at` is [`WAITING`], a cycle
+//! no clock reaches; issue sets `done_at` to the cycle its result is
+//! available, and from then until it retires the entry is complete at
+//! every cycle `>= done_at`. So "is this result ready?" is one compare.
 
 use sapa_isa::inst::Inst;
 
 use crate::cache::ServedBy;
 use crate::config::UnitClass;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum State {
-    /// Dispatched (or squashed by a replay), waiting in a reservation
-    /// station; `done_at` is 0.
-    Waiting,
-    /// Issued; the result is available from `done_at` on, and the
-    /// entry is complete from then until it retires.
-    Executing,
-}
+/// `done_at` of an entry that has not issued since its dispatch or
+/// replay.
+pub(crate) const WAITING: u64 = u64::MAX;
 
 #[derive(Debug, Clone)]
 pub(crate) struct RobEntry {
     pub inst: Inst,
-    pub state: State,
     pub queue: UnitClass,
+    /// The cycle the result is available from, or [`WAITING`].
     pub done_at: u64,
-    pub dispatch_cycle: u64,
     pub deps: [u64; 4],
     pub ndeps: u8,
     pub served: Option<ServedBy>,
@@ -51,19 +50,11 @@ pub(crate) struct RobEntry {
 
 impl RobEntry {
     /// A freshly dispatched entry.
-    pub fn new(
-        inst: Inst,
-        queue: UnitClass,
-        dispatch_cycle: u64,
-        deps: [u64; 4],
-        ndeps: u8,
-    ) -> Self {
+    pub fn new(inst: Inst, queue: UnitClass, deps: [u64; 4], ndeps: u8) -> Self {
         RobEntry {
             inst,
-            state: State::Waiting,
             queue,
-            done_at: 0,
-            dispatch_cycle,
+            done_at: WAITING,
             deps,
             ndeps,
             served: None,
@@ -89,7 +80,7 @@ pub(crate) struct Rob {
 impl Rob {
     pub fn new(capacity: usize) -> Self {
         let slots = capacity.max(1).next_power_of_two();
-        let vacant = RobEntry::new(Inst::default(), UnitClass::Fix, 0, [0; 4], 0);
+        let vacant = RobEntry::new(Inst::default(), UnitClass::Fix, [0; 4], 0);
         Rob {
             ring: vec![vacant; slots],
             mask: slots as u64 - 1,
@@ -144,13 +135,12 @@ impl Rob {
     }
 
     /// A dependency is satisfied when its producer has left the window
-    /// or has completed execution.
+    /// or has completed execution. A producer always precedes its
+    /// consumer, so `seq` was dispatched and needs no upper bound check.
     #[inline]
     pub fn dep_ready(&self, seq: u64, cycle: u64) -> bool {
-        match self.entry(seq) {
-            None => true,
-            Some(e) => e.state == State::Executing && e.done_at <= cycle,
-        }
+        debug_assert!(seq < self.next_seq(), "dependence on undispatched {seq}");
+        seq < self.head_seq || self.ring[(seq & self.mask) as usize].done_at <= cycle
     }
 
     /// Appends a dispatched entry at [`Rob::next_seq`].
@@ -172,13 +162,15 @@ impl Rob {
 
     /// The earliest `done_at` after `cycle` among executing entries —
     /// the next cycle at which an in-flight result becomes available —
-    /// or `u64::MAX` if nothing is still executing.
+    /// or `u64::MAX` if nothing is still executing. A waiting entry's
+    /// [`WAITING`] is that same `u64::MAX`, so it never lowers the
+    /// minimum.
     pub fn next_completion(&self, cycle: u64) -> u64 {
         let mut next = u64::MAX;
         for seq in self.head_seq..self.next_seq() {
-            let e = &self.ring[(seq & self.mask) as usize];
-            if e.state == State::Executing && e.done_at > cycle {
-                next = next.min(e.done_at);
+            let done_at = self.ring[(seq & self.mask) as usize].done_at;
+            if done_at > cycle {
+                next = next.min(done_at);
             }
         }
         next

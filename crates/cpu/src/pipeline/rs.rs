@@ -8,21 +8,22 @@
 //! freed when it issued, so transient overflow is bounded by the
 //! replay count in one cycle and resolves as the scan drains).
 
-use std::collections::VecDeque;
-
 use crate::config::UnitClass;
 
-/// The stations, one age-ordered queue per unit class.
+/// The stations, one age-ordered vector per unit class. A station holds
+/// about its capacity (20–80 entries in Table IV's machines; replayed
+/// loads may briefly overfill it), so removing or inserting shifts a
+/// few dozen sequence numbers at most, and a lookup is one index.
 #[derive(Debug)]
 pub(crate) struct Stations {
-    queues: Vec<VecDeque<u64>>,
+    queues: [Vec<u64>; UnitClass::COUNT],
     caps: [u32; UnitClass::COUNT],
 }
 
 impl Stations {
     pub fn new(caps: [u32; UnitClass::COUNT]) -> Self {
         Stations {
-            queues: vec![VecDeque::new(); UnitClass::COUNT],
+            queues: std::array::from_fn(|c| Vec::with_capacity(caps[c] as usize)),
             caps,
         }
     }
@@ -46,7 +47,7 @@ impl Stations {
     /// Appends `seq` at dispatch (dispatch order is age order).
     #[inline]
     pub fn push(&mut self, class: UnitClass, seq: u64) {
-        self.queues[class.index()].push_back(seq);
+        self.queues[class.index()].push(seq);
     }
 
     /// Removes the entry at `idx` (it issued).

@@ -43,8 +43,9 @@ impl SweepJob {
         Simulator::new(self.config.clone()).run_packed_with(&self.trace, buf)
     }
 
-    /// Panic-isolated, validated run: the trace is checked
-    /// ([`Simulator::try_run_packed`]) and any panic from an invalid
+    /// Panic-isolated, validated run: the trace is verified
+    /// ([`Simulator::try_run_packed`]; the first job to replay a shared
+    /// trace verifies it for all of them) and any panic from an invalid
     /// configuration or a simulator bug is caught and converted into a
     /// [`JobFailure`], so one poisoned grid point cannot abort a sweep.
     pub fn try_run(&self) -> Result<SimReport, JobFailure> {
@@ -295,6 +296,8 @@ mod tests {
     #[test]
     fn one_corrupted_trace_fails_alone() {
         let trace = test_trace();
+        // The clean trace's verdict must not carry over to the copy.
+        assert_eq!(trace.verify(), Ok(()));
         let bad = Arc::new(trace.with_corrupted_byte(37, 0xA5));
         let mut jobs = grid(&trace);
         jobs.insert(2, SweepJob::new(bad, SimConfig::four_way()));

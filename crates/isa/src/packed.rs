@@ -34,17 +34,23 @@
 //! a checksum computed at pack time, and [`PackedTrace::check`] verifies
 //! both the structural invariants (op classes decodable, register ids in
 //! range, side streams consumed exactly) and the checksum, returning a
-//! typed [`TraceError`] instead of panicking. Consumers that may face
-//! untrusted bytes run `check()` first — see
-//! `sapa_cpu::Simulator::try_run_packed` — after which the trusting
-//! decoder is guaranteed panic-free. [`PackedTrace::with_corrupted_byte`]
-//! is the matching fault-injection hook: it flips stream bytes while
-//! keeping the stored checksum, exactly what a corruption looks like.
+//! typed [`TraceError`] instead of panicking; after it passes, the
+//! trusting decoder is guaranteed panic-free. [`PackedTrace::verify`]
+//! adds the architectural invariants of [`crate::validate`] and keeps
+//! its verdict, so a trace replayed by many simulator jobs (see
+//! `sapa_cpu::Simulator::try_run_packed`) is verified by the first of
+//! them only. [`PackedTrace::with_corrupted_byte`] is the matching
+//! fault-injection hook: it flips stream bytes while keeping the stored
+//! checksum, exactly what a corruption looks like, and its copy starts
+//! unverified.
+
+use std::sync::OnceLock;
 
 use crate::inst::{Inst, OpClass};
 use crate::reg::{self, Reg};
 use crate::stats::TraceStats;
 use crate::trace::{Trace, CODE_BASE};
+use crate::validate::validate_iter;
 
 /// `site` value escaping to the `wide_pc` stream.
 const WIDE_PC: u16 = u16::MAX;
@@ -78,7 +84,7 @@ const NSRCS_SHIFT: u16 = 14;
 /// assert_eq!(packed.to_trace(), trace);
 /// assert!(packed.heap_bytes() < trace.len() * std::mem::size_of::<sapa_isa::Inst>());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct PackedTrace {
     meta: Vec<u16>,
     site: Vec<u16>,
@@ -88,6 +94,36 @@ pub struct PackedTrace {
     /// FNV-1a over all streams, fixed at pack time; [`PackedTrace::check`]
     /// recomputes and compares.
     checksum: u64,
+    /// What [`PackedTrace::verify`] found, kept from its first call: a
+    /// function of the streams, which never change once packed, so a
+    /// clone may carry it. Equality and `Debug` ignore it.
+    verdict: OnceLock<Result<(), TraceError>>,
+}
+
+impl PartialEq for PackedTrace {
+    fn eq(&self, other: &Self) -> bool {
+        self.meta == other.meta
+            && self.site == other.site
+            && self.wide_pc == other.wide_pc
+            && self.ea == other.ea
+            && self.regs == other.regs
+            && self.checksum == other.checksum
+    }
+}
+
+impl Eq for PackedTrace {}
+
+impl std::fmt::Debug for PackedTrace {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PackedTrace")
+            .field("meta", &self.meta)
+            .field("site", &self.site)
+            .field("wide_pc", &self.wide_pc)
+            .field("ea", &self.ea)
+            .field("regs", &self.regs)
+            .field("checksum", &self.checksum)
+            .finish()
+    }
 }
 
 impl Default for PackedTrace {
@@ -106,6 +142,7 @@ impl PackedTrace {
             ea: Vec::new(),
             regs: Vec::new(),
             checksum: 0,
+            verdict: OnceLock::new(),
         };
         for inst in insts {
             // Trailing NONE sources are dropped; interior NONEs (legal
@@ -323,6 +360,33 @@ impl PackedTrace {
         Ok(())
     }
 
+    /// [`PackedTrace::check`], then every invariant of [`crate::validate`]
+    /// over the decoded instructions: the gate untrusted bytes pass
+    /// before any instruction may enter a pipeline. The first call keeps
+    /// its outcome and every later call, from any thread, returns it.
+    /// That first call costs ~45 ns per instruction, so packing never
+    /// pays it.
+    ///
+    /// # Errors
+    ///
+    /// What `check()` reports, else [`TraceError::Invariant`] with the
+    /// first violation and the count, which stops growing at 8.
+    pub fn verify(&self) -> Result<(), TraceError> {
+        self.verdict
+            .get_or_init(|| {
+                self.check()?;
+                let violations = validate_iter(self.iter(), 8);
+                match violations.first() {
+                    None => Ok(()),
+                    Some(first) => Err(TraceError::Invariant {
+                        first: first.to_string(),
+                        violations: violations.len(),
+                    }),
+                }
+            })
+            .clone()
+    }
+
     /// A copy with one stream byte xored by `xor` — the fault-injection
     /// primitive behind the chaos suite and the corruption fuzz loop.
     ///
@@ -331,9 +395,11 @@ impl PackedTrace {
     /// within each element) and wraps modulo [`PackedTrace::heap_bytes`].
     /// The stored checksum is deliberately left at its pack-time value,
     /// exactly as real bit rot would, so [`PackedTrace::check`] on the
-    /// result fails whenever `xor != 0`.
+    /// result fails whenever `xor != 0`. The copy is unverified, whatever
+    /// `self` has been verified to be.
     pub fn with_corrupted_byte(&self, offset: usize, xor: u8) -> PackedTrace {
         let mut t = self.clone();
+        t.verdict = OnceLock::new();
         let total = t.heap_bytes();
         if total == 0 {
             return t;
@@ -374,7 +440,8 @@ impl PackedTrace {
     }
 }
 
-/// Why a [`PackedTrace`] failed [`PackedTrace::check`].
+/// Why a [`PackedTrace`] failed [`PackedTrace::check`] or
+/// [`PackedTrace::verify`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TraceError {
@@ -917,6 +984,73 @@ mod tests {
             PackedTrace::default().with_corrupted_byte(9, 0xFF).check(),
             Ok(())
         );
+    }
+
+    #[test]
+    fn verify_keeps_its_verdict_and_corrupted_copies_start_unverified() {
+        let packed = PackedTrace::from_trace(&sample_trace());
+        assert_eq!(packed.verdict.get(), None, "packing must not verify");
+        assert_eq!(packed.verify(), Ok(()));
+        assert_eq!(packed.verdict.get(), Some(&Ok(())), "verdict not kept");
+        assert_eq!(packed.clone().verdict.get(), Some(&Ok(())));
+        for offset in (0..packed.heap_bytes()).step_by(3) {
+            let bad = packed.with_corrupted_byte(offset, 0x80);
+            let err = bad.check().expect_err("corruption must fail check()");
+            assert_eq!(bad.verify(), Err(err.clone()), "byte {offset}");
+            assert_eq!(bad.verify(), Err(err), "byte {offset}, kept verdict");
+        }
+        assert_eq!(packed.verify(), Ok(()), "the original keeps its verdict");
+    }
+
+    #[test]
+    fn threads_racing_to_verify_share_one_verdict() {
+        let clean = PackedTrace::from_trace(&sample_trace());
+        let bad = clean.with_corrupted_byte(1, 0x40);
+        let start = std::sync::Barrier::new(4);
+        let verdicts: Vec<_> = std::thread::scope(|s| {
+            let racers: Vec<_> = [&clean, &bad, &clean, &bad]
+                .map(|t| {
+                    let start = &start;
+                    s.spawn(move || {
+                        start.wait();
+                        t.verify()
+                    })
+                })
+                .into_iter()
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        let want_bad = bad.check();
+        assert!(want_bad.is_err());
+        assert_eq!(verdicts, [Ok(()), want_bad.clone(), Ok(()), want_bad]);
+    }
+
+    #[test]
+    fn a_verified_trace_equals_and_prints_like_a_fresh_one() {
+        let tr = sample_trace();
+        let verified = PackedTrace::from_trace(&tr);
+        let text = format!("{verified:?}");
+        assert_eq!(verified.verify(), Ok(()));
+        assert_eq!(verified, PackedTrace::from_trace(&tr));
+        assert_eq!(format!("{verified:?}"), text);
+        assert!(!text.contains("verdict"), "{text}");
+    }
+
+    #[test]
+    fn verify_reports_invariants_that_check_passes() {
+        // A load below the data segment decodes fine: `check()` passes
+        // and only the invariant pass can see it.
+        let mut t = Tracer::new();
+        t.iload(0, reg::gpr(1), 0x10, 4, &[]);
+        t.iload(1, reg::gpr(1), 0x20, 4, &[]);
+        let packed = PackedTrace::from_trace(&t.finish());
+        assert_eq!(packed.check(), Ok(()));
+        let err = packed.verify().expect_err("invariant violation missed");
+        assert!(
+            matches!(err, TraceError::Invariant { violations: 2, .. }),
+            "{err}"
+        );
+        assert_eq!(packed.verify(), Err(err));
     }
 
     #[test]

@@ -117,48 +117,35 @@ pub fn validate_iter<I: IntoIterator<Item = Inst>>(insts: I, limit: usize) -> Ve
         if out.len() >= limit {
             break;
         }
-        check_inst(index, &inst, |v| out.push(v));
+        check_inst(index, &inst, &mut out);
     }
     out
 }
 
-/// Whether every instruction of `block` satisfies every invariant —
-/// the per-block check a replay runs on freshly decoded instructions
-/// before they may enter the pipeline. [`validate_iter`] then says
-/// which invariants a failing trace breaks.
-pub fn block_is_valid(block: &[Inst]) -> bool {
-    let mut valid = true;
-    for (index, inst) in block.iter().enumerate() {
-        check_inst(index, inst, |_| valid = false);
-    }
-    valid
-}
-
-/// The invariants, checked on one instruction; `report` receives each
-/// violation in a fixed order.
-#[inline]
-fn check_inst(index: usize, inst: &Inst, mut report: impl FnMut(Violation)) {
+/// The invariants, checked on one instruction; each violation is pushed
+/// onto `out` in a fixed order.
+fn check_inst(index: usize, inst: &Inst, out: &mut Vec<Violation>) {
     if inst.pc < CODE_BASE || inst.pc >= DATA_BASE {
-        report(Violation::PcOutOfRange { index, pc: inst.pc });
+        out.push(Violation::PcOutOfRange { index, pc: inst.pc });
     }
     if !inst.pc.is_multiple_of(4) {
-        report(Violation::PcMisaligned { index, pc: inst.pc });
+        out.push(Violation::PcMisaligned { index, pc: inst.pc });
     }
     match inst.op {
         op if op.is_mem() => {
             if inst.ea < DATA_BASE {
-                report(Violation::AddressOutOfRange { index, ea: inst.ea });
+                out.push(Violation::AddressOutOfRange { index, ea: inst.ea });
             }
             if op.is_load() && !inst.dst.is_some() {
-                report(Violation::LoadWithoutDestination { index });
+                out.push(Violation::LoadWithoutDestination { index });
             }
             if op.is_store() && inst.dst.is_some() {
-                report(Violation::StoreWithDestination { index });
+                out.push(Violation::StoreWithDestination { index });
             }
         }
         OpClass::Branch => {
             if inst.taken() && (inst.ea < CODE_BASE || inst.ea >= DATA_BASE) {
-                report(Violation::TargetOutOfRange {
+                out.push(Violation::TargetOutOfRange {
                     index,
                     target: inst.ea,
                 });
@@ -166,7 +153,7 @@ fn check_inst(index: usize, inst: &Inst, mut report: impl FnMut(Violation)) {
         }
         _ => {
             if inst.flags >> crate::inst::flags::WIDTH_SHIFT != 0 {
-                report(Violation::UnexpectedWidth { index });
+                out.push(Violation::UnexpectedWidth { index });
             }
         }
     }

@@ -9,7 +9,7 @@
 //! tolerances.
 
 use std::collections::BTreeMap;
-use std::sync::Once;
+use std::sync::{Arc, Once};
 use std::time::Duration;
 
 use sapa_core::align::engine::{
@@ -22,6 +22,7 @@ use sapa_core::bioseq::compose::{sample_residue, swissprot_cdf};
 use sapa_core::bioseq::matrix::GapPenalties;
 use sapa_core::bioseq::rng::Xoshiro256;
 use sapa_core::bioseq::{AminoAcid, SubstitutionMatrix};
+use sapa_core::cpu::config::MemConfig;
 use sapa_core::cpu::{run_jobs_isolated, SimConfig, Simulator, SweepJob};
 use sapa_core::fault::{
     corrupt_packed, subject_key, truncate_fasta, FaultPlan, FaultSite, FaultyEngine,
@@ -243,11 +244,15 @@ fn corrupted_packed_traces_are_rejected_not_replayed() {
     assert!(packed.check().is_ok(), "clean trace must validate");
 
     let sim = Simulator::new(SimConfig::four_way());
+    // Verified by its first replay: the corrupted copies below must not
+    // inherit that verdict.
+    assert!(sim.try_run_packed(&packed).is_ok());
     for seed in 0..8 {
         let bad = corrupt_packed(&packed, &FaultPlan::new(seed, 0.001));
         let err = sim
             .try_run_packed(&bad)
             .expect_err("corruption must be detected before replay");
+        assert_eq!(bad.verify(), Err(err.clone()));
         assert!(!format!("{err}").is_empty());
     }
     // And the clean trace still replays after all that.
@@ -284,6 +289,51 @@ fn sweep_batch_finishes_around_a_poisoned_job() {
             }
         }
     }
+}
+
+#[test]
+fn a_shared_corrupted_trace_fails_every_job_alike_at_any_thread_count() {
+    let inputs = StandardInputs::with_db_size(12, 1);
+    let blast = PackedTrace::from_trace(&Workload::Blast.trace(&inputs).trace);
+    let fasta = PackedTrace::from_trace(&Workload::Fasta34.trace(&inputs).trace);
+    let machines: Vec<SimConfig> = [
+        SimConfig::four_way(),
+        SimConfig::eight_way(),
+        SimConfig::sixteen_way(),
+    ]
+    .into_iter()
+    .flat_map(|cfg| {
+        [MemConfig::me1(), MemConfig::meinf()].map(|mem| SimConfig { mem, ..cfg.clone() })
+    })
+    .collect();
+    let serial: Vec<_> = machines
+        .iter()
+        .map(|cfg| Simulator::new(cfg.clone()).run_packed(&fasta))
+        .collect();
+
+    let mut causes = Vec::new();
+    for threads in [1usize, 2] {
+        // Fresh, unverified traces each round: at two threads the
+        // workers race to verify the shared copies first.
+        let bad = Arc::new(corrupt_packed(&blast, &FaultPlan::new(11, 0.001)));
+        let clean = Arc::new(fasta.clone());
+        let jobs: Vec<SweepJob> = machines
+            .iter()
+            .flat_map(|cfg| [&bad, &clean].map(|t| SweepJob::new(Arc::clone(t), cfg.clone())))
+            .collect();
+        let outcomes = run_jobs_isolated(&jobs, threads);
+        for (m, pair) in outcomes.chunks(2).enumerate() {
+            let cause = &pair[0]
+                .as_ref()
+                .expect_err("corrupted BLAST replayed")
+                .cause;
+            assert!(cause.starts_with("trace error: "), "{cause}");
+            causes.push(cause.clone());
+            assert_eq!(pair[1].as_ref().ok(), Some(&serial[m]), "threads={threads}");
+        }
+    }
+    assert_eq!(causes.len(), 12);
+    assert!(causes.iter().all(|c| *c == causes[0]), "{causes:?}");
 }
 
 // ---------------------------------------------------------------------------
