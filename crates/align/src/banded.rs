@@ -45,10 +45,13 @@ pub fn score(
     let w = width as isize;
 
     // Band-local storage indexed by offset = j - (i + diag) + width,
-    // so offsets 0..=2*width. h/f hold the previous row.
+    // so offsets 0..=2*width. h/f hold the previous row, new_h/new_f
+    // the row being computed; the pairs swap after every row.
     let band = 2 * width + 1;
     let mut h = vec![0i32; band];
     let mut f = vec![NEG; band];
+    let mut new_h = vec![NEG; band];
+    let mut new_f = vec![NEG; band];
     let mut best = 0;
 
     for (i, &ai) in a.iter().enumerate() {
@@ -58,11 +61,11 @@ pub fn score(
         // previous row's offset for column j is (offset + 1).
         let mut h_left = 0i32; // H[i][j-1]: left neighbour, NEG outside band
         let mut e_left = NEG;
-        let mut new_h = vec![NEG; band];
-        let mut new_f = vec![NEG; band];
         for off in 0..band as isize {
             let j = i + diag - w + off;
             if j < 0 || j >= n {
+                new_h[off as usize] = NEG;
+                new_f[off as usize] = NEG;
                 h_left = NEG;
                 e_left = NEG;
                 continue;
@@ -95,8 +98,8 @@ pub fn score(
                 best = h_ij;
             }
         }
-        h = new_h;
-        f = new_f;
+        std::mem::swap(&mut h, &mut new_h);
+        std::mem::swap(&mut f, &mut new_f);
     }
     best
 }

@@ -18,13 +18,20 @@
 //! 3. **Ungapped X-drop extension** along the diagonal.
 //! 4. **Gapped rescoring** with banded Smith-Waterman when the ungapped
 //!    score reaches `gapped_trigger` (our stand-in for BLAST's X-drop
-//!    gapped extension; see DESIGN.md).
+//!    gapped extension; see DESIGN.md). Each (subject, diagonal) band is
+//!    computed once: the band closes its diagonal to later hits, which
+//!    could only repeat or undercut its score (see [`score_subject`]).
+//!
+//! The scan keeps its per-diagonal state in a [`Workspace`] that a
+//! caller reuses across subjects; it grows to the longest subject seen
+//! and is reset at the start of each subject.
 
 use sapa_bioseq::matrix::GapPenalties;
 use sapa_bioseq::{AminoAcid, SubstitutionMatrix};
 
 use crate::banded;
 use crate::result::{Hit, SearchResults, TopK};
+use crate::words::{word_table, Words};
 
 /// Word length (`w`); BLASTP uses 3.
 pub const WORD_LEN: usize = 3;
@@ -87,57 +94,46 @@ impl WordIndex {
     /// candidate enumeration prunes by best-remaining score, as real
     /// BLAST's DFA construction does.
     pub fn build(query: &[AminoAcid], matrix: &SubstitutionMatrix, threshold: i32) -> Self {
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); WORD_TABLE_SIZE];
-        if query.len() >= WORD_LEN {
-            // Per-position max score rows, for pruning.
-            let row_max: Vec<i32> = (0..AminoAcid::STANDARD_COUNT)
-                .map(|q| {
-                    (0..AminoAcid::STANDARD_COUNT)
-                        .map(|c| matrix.score_by_index(q, c))
-                        .max()
-                        .expect("non-empty row")
-                })
-                .collect();
-
-            for i in 0..=(query.len() - WORD_LEN) {
-                let w = &query[i..i + WORD_LEN];
-                if w.iter().any(|aa| !aa.is_standard()) {
+        // (word, query position) pairs, in ascending position order.
+        let mut entries: Vec<(u32, u32)> = Vec::new();
+        // Per-position max score rows, for pruning.
+        let row_max: Vec<i32> = (0..AminoAcid::STANDARD_COUNT)
+            .map(|q| {
+                (0..AminoAcid::STANDARD_COUNT)
+                    .map(|c| matrix.score_by_index(q, c))
+                    .max()
+                    .expect("non-empty row")
+            })
+            .collect();
+        for (i, _) in Words::new(query, WORD_LEN) {
+            let qi: [usize; WORD_LEN] =
+                [query[i].index(), query[i + 1].index(), query[i + 2].index()];
+            let best_tail2 = row_max[qi[1]] + row_max[qi[2]];
+            let best_tail1 = row_max[qi[2]];
+            // Enumerate candidate words with score-based pruning.
+            for c0 in 0..AminoAcid::STANDARD_COUNT {
+                let s0 = matrix.score_by_index(qi[0], c0);
+                if s0 + best_tail2 < threshold {
                     continue;
                 }
-                let qi: [usize; WORD_LEN] = [w[0].index(), w[1].index(), w[2].index()];
-                let best_tail2 = row_max[qi[1]] + row_max[qi[2]];
-                let best_tail1 = row_max[qi[2]];
-                // Enumerate candidate words with score-based pruning.
-                for c0 in 0..AminoAcid::STANDARD_COUNT {
-                    let s0 = matrix.score_by_index(qi[0], c0);
-                    if s0 + best_tail2 < threshold {
+                for c1 in 0..AminoAcid::STANDARD_COUNT {
+                    let s01 = s0 + matrix.score_by_index(qi[1], c1);
+                    if s01 + best_tail1 < threshold {
                         continue;
                     }
-                    for c1 in 0..AminoAcid::STANDARD_COUNT {
-                        let s01 = s0 + matrix.score_by_index(qi[1], c1);
-                        if s01 + best_tail1 < threshold {
-                            continue;
-                        }
-                        for c2 in 0..AminoAcid::STANDARD_COUNT {
-                            let s = s01 + matrix.score_by_index(qi[2], c2);
-                            if s >= threshold {
-                                let word = (c0 * 20 + c1) * 20 + c2;
-                                buckets[word].push(i as u32);
-                            }
+                    for c2 in 0..AminoAcid::STANDARD_COUNT {
+                        let s = s01 + matrix.score_by_index(qi[2], c2);
+                        if s >= threshold {
+                            let word = (c0 * 20 + c1) * 20 + c2;
+                            entries.push((word as u32, i as u32));
                         }
                     }
                 }
             }
         }
-
-        // Flatten to CSR for compact, cache-realistic storage.
-        let mut starts = Vec::with_capacity(WORD_TABLE_SIZE + 1);
-        let mut positions = Vec::new();
-        starts.push(0u32);
-        for bucket in &buckets {
-            positions.extend_from_slice(bucket);
-            starts.push(positions.len() as u32);
-        }
+        // Compressed (`starts` + `positions`) for compact,
+        // cache-realistic storage.
+        let (starts, positions) = word_table(WORD_TABLE_SIZE, &entries);
         WordIndex {
             starts,
             positions,
@@ -228,16 +224,47 @@ pub fn ungapped_extend(
     best
 }
 
+/// Per-worker scratch of the BLAST scan ([`score_subject`]): the
+/// two-hit state of every diagonal. It grows to the longest subject
+/// seen and is reset at the start of each subject, so a scan that
+/// reuses one workspace allocates only when a subject is longer than
+/// every one before it.
+#[derive(Debug, Clone, Default)]
+pub struct Workspace {
+    diags: Vec<Diagonal>,
+}
+
+/// Two-hit bookkeeping of one diagonal.
+#[derive(Debug, Clone, Copy)]
+struct Diagonal {
+    /// Subject offset of the last hit that advanced the two-hit state.
+    last_hit: i32,
+    /// Hits at or before this subject offset are not extended again.
+    ext_end: i32,
+}
+
+impl Diagonal {
+    const FRESH: Diagonal = Diagonal {
+        last_hit: i32::MIN / 2,
+        ext_end: i32::MIN / 2,
+    };
+}
+
 /// Scores one subject against a prebuilt [`WordIndex`]: the scan /
 /// two-hit / extension / gapped-rescore pipeline of [`search`] for a
 /// single database entry. Returns the best alignment score found (0 if
 /// no seed survived the pipeline).
+///
+/// `ws` is scratch reused across subjects; its contents never affect
+/// the result. Each (subject, diagonal) band is computed at most once:
+/// the first gapped rescore on a diagonal closes it to later hits.
 pub fn score_subject(
     index: &WordIndex,
     subject: &[AminoAcid],
     matrix: &SubstitutionMatrix,
     gaps: GapPenalties,
     params: &BlastParams,
+    ws: &mut Workspace,
 ) -> i32 {
     let query = index.query();
     let m = query.len();
@@ -245,28 +272,24 @@ pub fn score_subject(
     if n < WORD_LEN || m < WORD_LEN {
         return 0;
     }
-    // Per-diagonal bookkeeping: last hit end and last extension end.
-    // diag = j - i + m, in [0, m+n).
-    let ndiag = m + n;
-    let mut last_hit = vec![i32::MIN / 2; ndiag];
-    let mut ext_end = vec![i32::MIN / 2; ndiag];
+    // Per-diagonal bookkeeping, diag = j - i + m in [0, m+n).
+    let diags = &mut ws.diags;
+    diags.clear();
+    diags.resize(m + n, Diagonal::FRESH);
 
     let mut best_score = 0i32;
 
-    for j in 0..=(n - WORD_LEN) {
-        let Some(word) = pack_word(subject, j) else {
-            continue;
-        };
+    for (j, word) in Words::new(subject, WORD_LEN) {
         for &qi in index.lookup(word) {
             let i = qi as usize;
-            let diag = j + m - i;
+            let diag = &mut diags[j + m - i];
             let jj = j as i32;
 
             // Skip hits inside an already-extended region.
-            if jj <= ext_end[diag] {
+            if jj <= diag.ext_end {
                 continue;
             }
-            let prev = last_hit[diag];
+            let prev = diag.last_hit;
             // Hits overlapping the previous one are ignored and do
             // not advance the stored hit (NCBI behaviour) — this is
             // what lets a run of consecutive word hits eventually
@@ -274,7 +297,7 @@ pub fn score_subject(
             if jj - prev < WORD_LEN as i32 {
                 continue;
             }
-            last_hit[diag] = jj;
+            diag.last_hit = jj;
             // Two-hit rule: the pair must fall within the window
             // (skipped entirely in one-hit mode).
             if !params.one_hit && jj - prev > params.two_hit_window as i32 {
@@ -282,8 +305,17 @@ pub fn score_subject(
             }
 
             let ungapped = ungapped_extend(query, subject, matrix, i, j, params.xdrop_ungapped);
-            ext_end[diag] = jj + WORD_LEN as i32; // coarse: block re-seeding here
             let score = if ungapped >= params.gapped_trigger {
+                // The band closes its diagonal. Its score depends only
+                // on the query, the subject, the diagonal and the
+                // width, so a later band here would repeat it; and the
+                // diagonal is the band's centre line, so its local
+                // score is at least that of every gapless segment on
+                // the diagonal, which bounds every later ungapped
+                // extension here. No later hit on this diagonal can
+                // raise `best_score`, and a diagonal's state touches
+                // no other diagonal, so skipping them all is exact.
+                diag.ext_end = i32::MAX;
                 banded::score(
                     query,
                     subject,
@@ -293,6 +325,7 @@ pub fn score_subject(
                     params.band_width,
                 )
             } else {
+                diag.ext_end = jj + WORD_LEN as i32; // coarse: block re-seeding here
                 ungapped
             };
             if score > best_score {
@@ -318,8 +351,9 @@ where
     I: IntoIterator<Item = &'a [AminoAcid]>,
 {
     let mut results = TopK::new(keep);
+    let mut ws = Workspace::default();
     for (seq_index, subject) in db.into_iter().enumerate() {
-        let best_score = score_subject(index, subject, matrix, gaps, params);
+        let best_score = score_subject(index, subject, matrix, gaps, params, &mut ws);
         if best_score >= params.min_report_score {
             results.push(Hit {
                 seq_index,

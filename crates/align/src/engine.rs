@@ -447,16 +447,25 @@ impl<'a> FastaEngine<'a> {
 }
 
 impl AlignmentEngine for FastaEngine<'_> {
-    type Workspace = ();
+    type Workspace = fasta::Workspace;
 
     fn name(&self) -> &'static str {
         "fasta"
     }
 
-    fn workspace(&self) -> Self::Workspace {}
+    fn workspace(&self) -> Self::Workspace {
+        fasta::Workspace::default()
+    }
 
-    fn score_one(&self, _ws: &mut Self::Workspace, subject: &[AminoAcid]) -> i32 {
-        let s = fasta::score_subject(&self.index, subject, self.matrix, self.gaps, &self.params);
+    fn score_one(&self, ws: &mut Self::Workspace, subject: &[AminoAcid]) -> i32 {
+        let s = fasta::score_subject(
+            &self.index,
+            subject,
+            self.matrix,
+            self.gaps,
+            &self.params,
+            ws,
+        );
         s.opt.max(s.initn)
     }
 }
@@ -493,16 +502,25 @@ impl<'a> BlastEngine<'a> {
 }
 
 impl AlignmentEngine for BlastEngine<'_> {
-    type Workspace = ();
+    type Workspace = blast::Workspace;
 
     fn name(&self) -> &'static str {
         "blast"
     }
 
-    fn workspace(&self) -> Self::Workspace {}
+    fn workspace(&self) -> Self::Workspace {
+        blast::Workspace::default()
+    }
 
-    fn score_one(&self, _ws: &mut Self::Workspace, subject: &[AminoAcid]) -> i32 {
-        blast::score_subject(&self.index, subject, self.matrix, self.gaps, &self.params)
+    fn score_one(&self, ws: &mut Self::Workspace, subject: &[AminoAcid]) -> i32 {
+        blast::score_subject(
+            &self.index,
+            subject,
+            self.matrix,
+            self.gaps,
+            &self.params,
+            ws,
+        )
     }
 }
 

@@ -17,12 +17,17 @@
 //! The pipeline's branchy bookkeeping (per-diagonal run tracking, region
 //! selection) is what gives FASTA its branch-predictor-limited profile
 //! in the paper.
+//!
+//! The per-diagonal state and the region lists live in a [`Workspace`]
+//! that a caller reuses across subjects; it grows to the longest subject
+//! seen and is reset at the start of each subject.
 
 use sapa_bioseq::matrix::GapPenalties;
 use sapa_bioseq::{AminoAcid, SubstitutionMatrix};
 
 use crate::banded;
 use crate::result::{Hit, SearchResults, TopK};
+use crate::words::{word_table, Words};
 
 /// Tunable parameters; defaults follow `fasta34 -p` conventions for
 /// protein search (ktup 2, banded opt of half-width 16).
@@ -73,22 +78,10 @@ impl KtupIndex {
     /// Panics if `ktup` is 0 or greater than 3 (table size 20^ktup).
     pub fn build(query: &[AminoAcid], ktup: usize) -> Self {
         assert!((1..=3).contains(&ktup), "ktup must be 1..=3");
-        let table = 20usize.pow(ktup as u32);
-        let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); table];
-        if query.len() >= ktup {
-            for i in 0..=(query.len() - ktup) {
-                if let Some(w) = pack(query, i, ktup) {
-                    buckets[w].push(i as u32);
-                }
-            }
-        }
-        let mut starts = Vec::with_capacity(table + 1);
-        let mut positions = Vec::new();
-        starts.push(0u32);
-        for bucket in &buckets {
-            positions.extend_from_slice(bucket);
-            starts.push(positions.len() as u32);
-        }
+        let entries: Vec<(u32, u32)> = Words::new(query, ktup)
+            .map(|(i, word)| (word as u32, i as u32))
+            .collect();
+        let (starts, positions) = word_table(20usize.pow(ktup as u32), &entries);
         KtupIndex {
             ktup,
             starts,
@@ -157,13 +150,49 @@ pub struct FastaScores {
     pub opt: i32,
 }
 
+/// Per-worker scratch of the FASTA scan ([`score_subject`]): the run
+/// state of every diagonal, the candidate regions and the `initn`
+/// chain. It grows to the largest subject seen and is reset at the
+/// start of each subject, so a scan that reuses one workspace allocates
+/// only when a subject needs more room than every one before it.
+#[derive(Debug, Clone, Default)]
+pub struct Workspace {
+    diags: Vec<Diagonal>,
+    regions: Vec<Region>,
+    by_start: Vec<Region>,
+    chain: Vec<i32>,
+}
+
+/// Word-match run state of one diagonal.
+#[derive(Debug, Clone, Copy)]
+struct Diagonal {
+    /// Running score of the current run.
+    run: i32,
+    /// Subject end (exclusive) of the last word match.
+    last_end: i32,
+    /// Subject start of the current run.
+    start: u32,
+}
+
+impl Diagonal {
+    const FRESH: Diagonal = Diagonal {
+        run: 0,
+        last_end: -1,
+        start: 0,
+    };
+}
+
 /// Scores one subject against the indexed query.
+///
+/// `ws` is scratch reused across subjects; its contents never affect
+/// the result.
 pub fn score_subject(
     index: &KtupIndex,
     subject: &[AminoAcid],
     matrix: &SubstitutionMatrix,
     gaps: GapPenalties,
     params: &FastaParams,
+    ws: &mut Workspace,
 ) -> FastaScores {
     let query = index.query();
     let m = query.len();
@@ -172,42 +201,42 @@ pub fn score_subject(
     if m < ktup || n < ktup {
         return FastaScores::default();
     }
+    let Workspace {
+        diags,
+        regions,
+        by_start,
+        chain,
+    } = ws;
 
     // Phase 1+2: diagonal run accumulation. For each diagonal, track a
     // running score of word matches with decay for gaps between them,
     // FASTA's "dot on diagonal" scan.
-    let ndiag = m + n;
-    // last word-match end and running run score per diagonal
-    let mut run_score = vec![0i32; ndiag];
-    let mut run_start = vec![0usize; ndiag];
-    let mut last_end = vec![-1i32; ndiag];
-    let mut regions: Vec<Region> = Vec::new();
+    diags.clear();
+    diags.resize(m + n, Diagonal::FRESH);
+    regions.clear();
     const WORD_BONUS: i32 = 4; // score per matched word in the scan phase
     const GAP_DECAY: i32 = 1; // per-residue decay between matches
 
-    for j in 0..=(n - ktup) {
-        let Some(word) = pack(subject, j, ktup) else {
-            continue;
-        };
+    for (j, word) in Words::new(subject, ktup) {
         for &qi in index.lookup(word) {
             let i = qi as usize;
-            let d = j + m - i;
+            let d = &mut diags[j + m - i];
             let jj = j as i32;
-            let gap = jj - last_end[d];
-            let decayed = run_score[d] - gap.max(0) * GAP_DECAY;
+            let gap = jj - d.last_end;
+            let decayed = d.run - gap.max(0) * GAP_DECAY;
             if decayed <= 0 {
-                run_score[d] = WORD_BONUS;
-                run_start[d] = j;
+                d.run = WORD_BONUS;
+                d.start = j as u32;
             } else {
-                run_score[d] = decayed + WORD_BONUS;
+                d.run = decayed + WORD_BONUS;
             }
-            last_end[d] = jj + ktup as i32;
+            d.last_end = jj + ktup as i32;
             // Track candidate regions as they peak.
-            if run_score[d] >= WORD_BONUS * 2 {
+            if d.run >= WORD_BONUS * 2 {
                 regions.push(Region {
                     diag: j as isize - i as isize,
-                    score: run_score[d],
-                    start: run_start[d],
+                    score: d.run,
+                    start: d.start as usize,
                     end: j + ktup - 1,
                 });
             }
@@ -218,15 +247,21 @@ pub fn score_subject(
     }
 
     // Keep the best region per diagonal, then the overall top
-    // `max_regions` — FASTA's "savemax" bookkeeping.
-    regions.sort_by(|a, b| {
+    // `max_regions` — FASTA's "savemax" bookkeeping. Every order below
+    // is total (a diagonal is hit at most once per subject offset, so
+    // `(diag, end)` is unique, and `diag` is unique after the dedup),
+    // so the unstable sorts, which need no scratch buffer, give the
+    // one possible result; the first sort's final `end` key stands for
+    // the push order a stable sort would keep.
+    regions.sort_unstable_by(|a, b| {
         a.diag
             .cmp(&b.diag)
             .then(b.score.cmp(&a.score))
             .then(a.start.cmp(&b.start))
+            .then(a.end.cmp(&b.end))
     });
     regions.dedup_by_key(|r| r.diag);
-    regions.sort_by(|a, b| b.score.cmp(&a.score).then(a.diag.cmp(&b.diag)));
+    regions.sort_unstable_by(|a, b| b.score.cmp(&a.score).then(a.diag.cmp(&b.diag)));
     regions.truncate(params.max_regions);
 
     // Rescore each region with the matrix over its subject span.
@@ -246,18 +281,20 @@ pub fn score_subject(
         }
         r.score = best;
     }
-    regions.sort_by(|a, b| b.score.cmp(&a.score).then(a.diag.cmp(&b.diag)));
+    regions.sort_unstable_by(|a, b| b.score.cmp(&a.score).then(a.diag.cmp(&b.diag)));
 
     let init1 = regions.first().map_or(0, |r| r.score);
 
     // Phase 3 (`initn`): chain compatible regions (increasing subject
     // coordinates) paying the join penalty per chained pair.
     let mut initn = init1;
-    let mut by_start = regions.clone();
-    by_start.sort_by(|a, b| a.start.cmp(&b.start).then(a.diag.cmp(&b.diag)));
+    by_start.clear();
+    by_start.extend_from_slice(regions);
+    by_start.sort_unstable_by(|a, b| a.start.cmp(&b.start).then(a.diag.cmp(&b.diag)));
     // O(k^2) chain over at most max_regions regions.
     let k = by_start.len();
-    let mut chain = vec![0i32; k];
+    chain.clear();
+    chain.resize(k, 0);
     for x in 0..k {
         chain[x] = by_start[x].score;
         for y in 0..x {
@@ -305,8 +342,9 @@ where
     I: IntoIterator<Item = &'a [AminoAcid]>,
 {
     let mut results = TopK::new(keep);
+    let mut ws = Workspace::default();
     for (seq_index, subject) in db.into_iter().enumerate() {
-        let s = score_subject(index, subject, matrix, gaps, params);
+        let s = score_subject(index, subject, matrix, gaps, params, &mut ws);
         let reported = s.opt.max(s.initn);
         if reported >= params.min_report_score {
             results.push(Hit {
@@ -361,7 +399,14 @@ mod tests {
         let q = seq("MKWVTFISLLFLFSSAYSRGVFRRDAHKSE");
         let idx = KtupIndex::build(&q, 2);
         let m = bl62();
-        let s = score_subject(&idx, &q, &m, GapPenalties::paper(), &FastaParams::default());
+        let s = score_subject(
+            &idx,
+            &q,
+            &m,
+            GapPenalties::paper(),
+            &FastaParams::default(),
+            &mut Workspace::default(),
+        );
         assert!(s.init1 > 0);
         assert!(s.initn >= s.init1);
         let self_score: i32 = q.iter().map(|&x| m.score(x, x)).sum();
@@ -380,6 +425,7 @@ mod tests {
             &bl62(),
             GapPenalties::paper(),
             &FastaParams::default(),
+            &mut Workspace::default(),
         );
         assert_eq!(s, FastaScores::default());
     }
@@ -418,6 +464,7 @@ mod tests {
             &bl62(),
             GapPenalties::paper(),
             &FastaParams::default(),
+            &mut Workspace::default(),
         );
         assert_eq!(s.opt, 0);
     }
@@ -432,6 +479,7 @@ mod tests {
             &bl62(),
             GapPenalties::paper(),
             &FastaParams::default(),
+            &mut Workspace::default(),
         );
         assert_eq!(s, FastaScores::default());
     }

@@ -64,6 +64,7 @@ pub mod stats;
 pub mod striped;
 pub mod sw;
 pub mod traceback;
+mod words;
 pub mod xdrop;
 
 pub use engine::{

@@ -6,10 +6,12 @@
 //! studies the single processor. [`engine_scores`] / [`engine_search`]
 //! drive any [`AlignmentEngine`] over a subject list: one shared engine
 //! (query index / profile) threaded through all workers, one reusable
-//! [`AlignmentEngine::Workspace`] per worker (zero per-subject
-//! allocation), **chunked** work claiming (workers grab batches of
-//! subjects per atomic `fetch_add` instead of one, cutting cursor
-//! contention on short subjects), per-engine statistics harvested from
+//! [`AlignmentEngine::Workspace`] per worker (the striped, FASTA and
+//! BLAST engines keep their scan buffers there, so once it has grown
+//! they allocate nothing per subject but the heuristics' four
+//! banded-rescore rows), **chunked** work claiming (workers grab
+//! batches of subjects per atomic `fetch_add` instead of one, cutting
+//! cursor contention on short subjects), per-engine statistics harvested from
 //! the workspaces, and deterministic, thread-count-independent results.
 //!
 //! Every front end shares one chunked work-claiming loop; determinism
@@ -210,8 +212,11 @@ pub const QUARANTINED_SCORE: i32 = i32::MIN;
 ///
 /// This is the database-search hot path for every backend: workers
 /// claim subjects in chunks and keep one reusable
-/// [`AlignmentEngine::Workspace`] each (no per-subject allocation for
-/// engines whose buffers depend only on the query). Scores come back in
+/// [`AlignmentEngine::Workspace`] each. The striped engine's buffers
+/// depend only on the query; the FASTA and BLAST workspaces grow to the
+/// longest subject a worker meets and are reset per subject; the
+/// scalar and anti-diagonal Smith-Waterman engines, with `()`
+/// workspaces, still allocate their rows per subject. Scores come back in
 /// subject order regardless of thread count; per-worker counters (e.g.
 /// the striped engine's byte-overflow rescores) are summed into the
 /// returned [`RunStats`].

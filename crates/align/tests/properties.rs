@@ -409,7 +409,14 @@ fn heuristic_scores_never_exceed_sw() {
 
         // FASTA's opt is a banded SW — a lower bound on full SW.
         let idx = fasta::KtupIndex::build(&a, 2);
-        let fs = fasta::score_subject(&idx, &b, &m, g, &fasta::FastaParams::default());
+        let fs = fasta::score_subject(
+            &idx,
+            &b,
+            &m,
+            g,
+            &fasta::FastaParams::default(),
+            &mut fasta::Workspace::default(),
+        );
         assert!(fs.opt <= full, "case {case}: opt {} > sw {full}", fs.opt);
 
         // BLAST's reported score (banded or ungapped) is also ≤ full SW.

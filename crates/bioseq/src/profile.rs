@@ -195,6 +195,11 @@ impl QueryProfile {
         self.bytes.is_some()
     }
 
+    /// Bytes of score layout the profile holds on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.words.len() * std::mem::size_of::<i16>() + self.bytes.as_ref().map_or(0, Vec::len)
+    }
+
     /// The score bias added to every byte-layout entry.
     #[inline]
     pub fn bias(&self) -> i32 {
@@ -215,6 +220,12 @@ impl QueryProfile {
 /// (query residue indices, matrix score table, word lane count).
 type ProfileKey = (Vec<u8>, [[i8; AminoAcid::COUNT]; AminoAcid::COUNT], usize);
 
+/// Bytes of profiles, keys included, that a [`ProfileCache`] keeps
+/// before it evicts the least recently used: 16 MiB, about 50 profiles
+/// of a 4,096-residue query (~300 KB each) or thousands of 20–60-residue
+/// ones (a few KB each).
+pub const PROFILE_CACHE_BYTES: usize = 16 << 20;
+
 /// Memoizes [`QueryProfile`]s across searches.
 ///
 /// Keyed by (query residues, matrix score table, word lane count) —
@@ -224,9 +235,26 @@ type ProfileKey = (Vec<u8>, [[i8; AminoAcid::COUNT]; AminoAcid::COUNT], usize);
 /// The search driver keeps one of these so repeated searches with the
 /// same query (the common server pattern) skip profile construction
 /// entirely.
+///
+/// The cache holds at most [`PROFILE_CACHE_BYTES`]: past it, the least
+/// recently used profiles are evicted, so a server that meets many
+/// distinct queries does not grow without bound. A profile larger than
+/// the whole budget is built and returned but not kept.
 #[derive(Debug, Default)]
 pub struct ProfileCache {
-    map: HashMap<ProfileKey, Arc<QueryProfile>>,
+    map: HashMap<ProfileKey, CachedProfile>,
+    /// Sum of the entries' `bytes`.
+    bytes: usize,
+    /// Lookups so far; an entry's `used` is the lookup that last hit it.
+    clock: u64,
+}
+
+#[derive(Debug)]
+struct CachedProfile {
+    profile: Arc<QueryProfile>,
+    /// Profile heap bytes plus the key's.
+    bytes: usize,
+    used: u64,
 }
 
 impl ProfileCache {
@@ -248,10 +276,38 @@ impl ProfileCache {
             *matrix.table(),
             word_lanes,
         );
-        self.map
-            .entry(key)
-            .or_insert_with(|| Arc::new(QueryProfile::build(query, matrix, word_lanes)))
-            .clone()
+        self.clock += 1;
+        if let Some(hit) = self.map.get_mut(&key) {
+            hit.used = self.clock;
+            return Arc::clone(&hit.profile);
+        }
+        let profile = Arc::new(QueryProfile::build(query, matrix, word_lanes));
+        let bytes = profile.heap_bytes() + key.0.len() + std::mem::size_of::<ProfileKey>();
+        if bytes > PROFILE_CACHE_BYTES {
+            return profile;
+        }
+        // Each lookup has its own tick, so the least recently used entry
+        // is unique whatever order the map iterates in.
+        while self.bytes + bytes > PROFILE_CACHE_BYTES {
+            let oldest = self
+                .map
+                .iter()
+                .min_by_key(|(_, entry)| entry.used)
+                .map(|(k, _)| k.clone())
+                .expect("a cache over budget holds an entry");
+            let evicted = self.map.remove(&oldest).expect("oldest key is cached");
+            self.bytes -= evicted.bytes;
+        }
+        self.bytes += bytes;
+        self.map.insert(
+            key,
+            CachedProfile {
+                profile: Arc::clone(&profile),
+                bytes,
+                used: self.clock,
+            },
+        );
+        profile
     }
 
     /// Number of distinct profiles currently cached.
@@ -351,6 +407,87 @@ mod tests {
         let d = cache.get_or_build(&q, &u, 8);
         assert!(!Arc::ptr_eq(&a, &d));
         assert_eq!(cache.len(), 3);
+    }
+
+    /// `n` distinct random queries of `len` residues.
+    fn random_queries(n: usize, len: usize, seed: u64) -> Vec<Vec<AminoAcid>> {
+        let mut rng = crate::rng::Xoshiro256::new(seed);
+        (0..n)
+            .map(|_| {
+                (0..len)
+                    .map(|_| AminoAcid::from_index(rng.next_below(20) as usize).unwrap())
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cache_stays_within_its_budget_and_evicts_least_recently_used() {
+        // Queries at the daemon's 4,096-residue limit: ~300 KB each, so
+        // 60 of them overfill the budget.
+        let m = SubstitutionMatrix::blosum62();
+        let queries = random_queries(60, 4096, 7);
+        let mut cache = ProfileCache::new();
+        let mut handed_out = vec![cache.get_or_build(&queries[0], &m, 8)];
+        for (i, q) in queries.iter().enumerate().skip(1) {
+            // Keep the first query hot: it must survive every eviction.
+            assert!(Arc::ptr_eq(
+                &handed_out[0],
+                &cache.get_or_build(&queries[0], &m, 8)
+            ));
+            let p = cache.get_or_build(q, &m, 8);
+            assert_eq!(*p, QueryProfile::build(q, &m, 8), "query {i}");
+            assert!(cache.bytes <= PROFILE_CACHE_BYTES, "query {i}");
+            handed_out.push(p);
+        }
+        assert!(cache.len() < queries.len(), "nothing was evicted");
+        let cached = |cache: &mut ProfileCache, i: usize| {
+            Arc::ptr_eq(&handed_out[i], &cache.get_or_build(&queries[i], &m, 8))
+        };
+        // The newest entry is still there; the second query, the least
+        // recently used when the budget first ran out, is not, and comes
+        // back as a fresh build equal to the first.
+        assert!(cached(&mut cache, 59));
+        assert!(!cached(&mut cache, 1));
+        assert_eq!(*cache.get_or_build(&queries[1], &m, 8), *handed_out[1]);
+        // Every query still gets a profile equal to a fresh build.
+        for q in &queries {
+            assert_eq!(*cache.get_or_build(q, &m, 8), QueryProfile::build(q, &m, 8));
+            assert!(cache.bytes <= PROFILE_CACHE_BYTES);
+        }
+    }
+
+    #[test]
+    fn a_profile_larger_than_the_budget_is_built_but_not_kept() {
+        // 24 symbols × 3 bytes per residue: this query's profile alone
+        // exceeds the budget.
+        let m = SubstitutionMatrix::blosum62();
+        let huge = random_queries(1, PROFILE_CACHE_BYTES / 72 + 1, 9).remove(0);
+        let small = seq("HEAGAWGHEE");
+        let mut cache = ProfileCache::new();
+        let kept = cache.get_or_build(&small, &m, 8);
+        let p = cache.get_or_build(&huge, &m, 8);
+        assert_eq!(p.query_len(), huge.len());
+        assert_eq!(cache.len(), 1);
+        assert!(Arc::ptr_eq(&kept, &cache.get_or_build(&small, &m, 8)));
+    }
+
+    #[test]
+    fn a_hundred_short_queries_never_evict() {
+        // A daemon's working set of 100 distinct 20–60-residue windows
+        // (perfbench `service_short`) fits with room to spare.
+        let m = SubstitutionMatrix::blosum62();
+        let queries = random_queries(100, 60, 8);
+        let mut cache = ProfileCache::new();
+        let profiles: Vec<_> = queries
+            .iter()
+            .map(|q| cache.get_or_build(q, &m, 8))
+            .collect();
+        assert_eq!(cache.len(), 100);
+        assert!(cache.bytes < PROFILE_CACHE_BYTES / 16);
+        for (q, p) in queries.iter().zip(&profiles) {
+            assert!(Arc::ptr_eq(p, &cache.get_or_build(q, &m, 8)));
+        }
     }
 
     #[test]

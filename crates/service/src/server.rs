@@ -16,7 +16,9 @@
 //!   flooding tenant cannot starve the rest of the queue.
 //! * A fixed **worker pool** executes searches via
 //!   [`sapa_align::engine::search_with`], reusing striped query
-//!   profiles through a shared [`ProfileCache`]. Worker panics are
+//!   profiles through a shared [`ProfileCache`], which evicts the least
+//!   recently used past [`sapa_bioseq::profile::PROFILE_CACHE_BYTES`]
+//!   so distinct queries cannot grow the daemon without bound. Worker panics are
 //!   quarantined at two levels: per-subject by the parallel pipeline's
 //!   `catch_unwind`, and per-request by a second `catch_unwind` here —
 //!   a panic answers *that* request with `internal` and the process

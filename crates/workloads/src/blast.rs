@@ -10,8 +10,15 @@
 //! arrays; seeds grow through ungapped X-drop extension, and strong
 //! seeds are rescored with banded Smith-Waterman.
 //!
-//! Scores equal [`sapa_align::blast::search`]'s — the same code paths
-//! run here, with instruction emission alongside.
+//! Scores equal [`sapa_align::blast::search`]'s — the same scores, not
+//! the same code paths. This program packs every subject word afresh
+//! and runs one traced banded pass per triggering hit (outside its
+//! ±width suppression window): that is the instruction stream
+//! `results/` pins. The library rolls its word codes and computes each
+//! (subject, diagonal) band once, which is exact because a band's score
+//! depends only on the query, subject, diagonal and width, and bounds
+//! every later hit on its diagonal. Kept per hit, this program is the
+//! independent oracle for that shortcut (`tests/cross_engine.rs`).
 
 use sapa_align::banded;
 use sapa_align::blast::{pack_word, BlastParams, WordIndex, WORD_LEN};

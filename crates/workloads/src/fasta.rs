@@ -11,7 +11,7 @@
 //!
 //! Scores equal [`sapa_align::fasta::score_subject`]'s.
 
-use sapa_align::fasta::{pack, FastaParams, FastaScores, KtupIndex};
+use sapa_align::fasta::{pack, FastaParams, FastaScores, KtupIndex, Workspace};
 use sapa_align::result::{Hit, TopK};
 use sapa_bioseq::matrix::GapPenalties;
 use sapa_bioseq::{AminoAcid, Sequence, SubstitutionMatrix};
@@ -124,6 +124,9 @@ pub fn run(
     let mut t = Tracer::with_capacity(1024);
     let mut all_scores = Vec::with_capacity(db.len());
     let mut results = TopK::new(keep.max(1));
+    // The library's scan scratch, reused across subjects like a search
+    // worker's.
+    let mut ws = Workspace::default();
 
     for si in 0..img.len() {
         let subject = img.subject(si);
@@ -250,7 +253,8 @@ pub fn run(
 
         // --- Phases 2–4 delegate the arithmetic to the reference and
         // emit the corresponding loop instructions.
-        let scores = sapa_align::fasta::score_subject(&index, subject, matrix, gaps, params);
+        let scores =
+            sapa_align::fasta::score_subject(&index, subject, matrix, gaps, params, &mut ws);
 
         // Region rescoring: a matrix walk over ~max_regions short spans.
         if scores.init1 > 0 {
@@ -353,7 +357,14 @@ mod tests {
         let run = run(&q, &db, &m, g, &p, 10);
         let idx = ref_fasta::KtupIndex::build(&q, p.ktup);
         for (i, s) in db.iter().enumerate() {
-            let expect = ref_fasta::score_subject(&idx, s.residues(), &m, g, &p);
+            let expect = ref_fasta::score_subject(
+                &idx,
+                s.residues(),
+                &m,
+                g,
+                &p,
+                &mut ref_fasta::Workspace::default(),
+            );
             assert_eq!(run.scores[i], expect, "subject {i}");
         }
     }

@@ -53,30 +53,140 @@ fn traced_simd_sw_equals_reference_at_both_widths() {
     }
 }
 
+/// The daemon's corpus shape (`ServiceConfig::default()`: seed 42,
+/// median length 110, 10% GST homologs), cut to its first 100
+/// subjects — the generator draws subjects in order, so these are the
+/// daemon's own first 100, about ten of them GST homologs.
+fn daemon_slice() -> Vec<sapa_core::bioseq::Sequence> {
+    let db = DatabaseBuilder::new()
+        .seed(42)
+        .sequences(100)
+        .median_length(110.0)
+        .homolog_template(QuerySet::paper().default_query().clone())
+        .homolog_fraction(0.1)
+        .build();
+    db.sequences().to_vec()
+}
+
+/// Daemon-shaped query windows (accession, start, length): 20–60
+/// residues, half of them GST windows, whose homologs give BLAST its
+/// most gapped extensions per subject.
+const WINDOWS: [(&str, usize, usize); 6] = [
+    ("P14942", 0, 56),
+    ("P14942", 120, 47),
+    ("P14942", 170, 33),
+    ("P02232", 60, 20),
+    ("P01111", 100, 60),
+    ("P10318", 200, 41),
+];
+
+fn window(accession: &str, start: usize, len: usize) -> Vec<AminoAcid> {
+    let queries = QuerySet::paper();
+    let q = queries.by_accession(accession).unwrap();
+    q.residues()[start..start + len].to_vec()
+}
+
+/// Subjects holding two copies of `q` on diagonals further apart than
+/// BLAST's band: a short prefix first, then, past `filler`, the whole
+/// query. Only a band on the second diagonal finds the full score, so a
+/// band score reused across diagonals of one subject cannot pass.
+fn two_region_subjects(q: &[AminoAcid], filler: &[AminoAcid]) -> Vec<sapa_core::bioseq::Sequence> {
+    [12, 16, 20]
+        .into_iter()
+        .enumerate()
+        .map(|(k, prefix)| {
+            let mut residues = q[..prefix].to_vec();
+            residues.extend_from_slice(&filler[..40 + 10 * k]);
+            residues.extend_from_slice(q);
+            sapa_core::bioseq::Sequence::new(format!("TWO{k}"), "two regions", residues)
+        })
+        .collect()
+}
+
+/// Every (query, database) pair the heuristic equivalence tests run:
+/// the Globin query against 40 planted-homolog subjects, each window
+/// against the daemon slice, and a GST window against two-region
+/// subjects.
+fn heuristic_cases(
+    globin_seed: u64,
+) -> Vec<(String, Vec<AminoAcid>, Vec<sapa_core::bioseq::Sequence>)> {
+    let (q, db) = setup(globin_seed, 40);
+    let mut cases = vec![("P02232 vs globin db".to_string(), q, db)];
+    let slice = daemon_slice();
+    for (acc, start, len) in WINDOWS {
+        cases.push((
+            format!("{acc}[{start}..+{len}] vs daemon slice"),
+            window(acc, start, len),
+            slice.clone(),
+        ));
+    }
+    let gst = window("P14942", 0, 56);
+    let filler = slice.iter().find(|s| s.len() >= 60).unwrap().residues();
+    let two = two_region_subjects(&gst, filler);
+    cases.push(("P14942[0..+56] vs two-region subjects".into(), gst, two));
+    cases
+}
+
 #[test]
 fn traced_blast_equals_reference_search() {
-    let (q, db) = setup(13, 40);
+    // The traced program runs one banded pass per triggering hit; the
+    // library computes each (subject, diagonal) band once. Every
+    // subject's score must agree, with two-hit and one-hit seeding.
     let m = SubstitutionMatrix::blosum62();
     let g = GapPenalties::paper();
-    let p = ref_blast::BlastParams::default();
-    let traced = blast::run(&q, &db, &m, g, &p, 500);
-    let idx = ref_blast::WordIndex::build(&q, &m, p.threshold);
-    let slices: Vec<&[AminoAcid]> = db.iter().map(|s| s.residues()).collect();
-    let reference = ref_blast::search(&idx, slices, &m, g, &p, 500);
-    assert_eq!(traced.hits, reference.hits().to_vec());
+    for one_hit in [false, true] {
+        let p = ref_blast::BlastParams {
+            one_hit,
+            ..ref_blast::BlastParams::default()
+        };
+        for (name, q, db) in heuristic_cases(13) {
+            let traced = blast::run(&q, &db, &m, g, &p, 500);
+            let idx = ref_blast::WordIndex::build(&q, &m, p.threshold);
+            let slices: Vec<&[AminoAcid]> = db.iter().map(|s| s.residues()).collect();
+            let reference = ref_blast::search(&idx, slices.iter().copied(), &m, g, &p, 500);
+            assert_eq!(
+                traced.hits,
+                reference.hits().to_vec(),
+                "{name}, one_hit {one_hit}"
+            );
+            for (i, s) in slices.iter().enumerate() {
+                let fresh = &mut ref_blast::Workspace::default();
+                let score = ref_blast::score_subject(&idx, s, &m, g, &p, fresh);
+                let reported = if score >= p.min_report_score {
+                    score
+                } else {
+                    0
+                };
+                assert_eq!(
+                    traced.scores[i], reported,
+                    "{name}, one_hit {one_hit}, subject {i}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
 fn traced_fasta_equals_reference_scores() {
-    let (q, db) = setup(14, 40);
+    // Whole (init1, initn, opt) triples, at ktup 2 and 1; the traced
+    // program reuses one workspace across its subject loop, the
+    // reference side starts each subject from a fresh one.
     let m = SubstitutionMatrix::blosum62();
     let g = GapPenalties::paper();
-    let p = ref_fasta::FastaParams::default();
-    let traced = fasta::run(&q, &db, &m, g, &p, 500);
-    let idx = ref_fasta::KtupIndex::build(&q, p.ktup);
-    for (i, s) in db.iter().enumerate() {
-        let expect = ref_fasta::score_subject(&idx, s.residues(), &m, g, &p);
-        assert_eq!(traced.scores[i], expect, "subject {i}");
+    for ktup in [2, 1] {
+        let p = ref_fasta::FastaParams {
+            ktup,
+            ..ref_fasta::FastaParams::default()
+        };
+        for (name, q, db) in heuristic_cases(14) {
+            let traced = fasta::run(&q, &db, &m, g, &p, 500);
+            let idx = ref_fasta::KtupIndex::build(&q, p.ktup);
+            for (i, s) in db.iter().enumerate() {
+                let fresh = &mut ref_fasta::Workspace::default();
+                let expect = ref_fasta::score_subject(&idx, s.residues(), &m, g, &p, fresh);
+                assert_eq!(traced.scores[i], expect, "{name}, ktup {ktup}, subject {i}");
+            }
+        }
     }
 }
 
@@ -176,13 +286,21 @@ fn every_engine_agrees_with_scalar_sw() {
                             &inputs.matrix,
                             inputs.gaps,
                             &ref_fasta::FastaParams::default(),
+                            &mut ref_fasta::Workspace::default(),
                         );
                         s.opt.max(s.initn)
                     }
                     Engine::Blast => {
                         let p = ref_blast::BlastParams::default();
                         let idx = ref_blast::WordIndex::build(&q, &inputs.matrix, p.threshold);
-                        ref_blast::score_subject(&idx, subject, &inputs.matrix, inputs.gaps, &p)
+                        ref_blast::score_subject(
+                            &idx,
+                            subject,
+                            &inputs.matrix,
+                            inputs.gaps,
+                            &p,
+                            &mut ref_blast::Workspace::default(),
+                        )
                     }
                     _ => unreachable!(),
                 };
