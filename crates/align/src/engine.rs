@@ -338,7 +338,10 @@ pub struct StripedScratch<const LB: usize, const LW: usize> {
 /// 16-bit-rescore strategy. `LB`/`LW` are the byte/word lane counts of
 /// one register width: `<16, 8>` for the 128-bit Altivec model, which
 /// runs on SSE2 lanes on x86_64, `<32, 16>` for the paper's 256-bit
-/// extension, on emulated lanes (see [`crate::striped`]).
+/// extension, which runs on AVX2 lanes on a CPU that has them and on
+/// emulated lanes elsewhere (see [`crate::striped`]). Both widths return
+/// the same scores and rescore counts; [`crate::striped::use_256_bit`]
+/// picks the faster one for a query.
 pub struct StripedEngine<const LB: usize, const LW: usize> {
     profile: Arc<QueryProfile>,
     gaps: GapPenalties,
@@ -692,8 +695,11 @@ pub enum Engine {
     Sw,
     /// Scalar Smith-Waterman, SSEARCH lazy-F formulation.
     SwLazy,
-    /// Farrar striped SIMD, adaptive 8/16-bit, 128-bit width: SSE2
-    /// lanes on x86_64, emulated lanes on other targets.
+    /// Farrar striped SIMD, adaptive 8/16-bit. The width follows
+    /// [`striped::use_256_bit`]: 256-bit AVX2 lanes for queries of at
+    /// least [`striped::WIDE_MIN_STRIPES`] 32-residue stripes on a CPU
+    /// with AVX2, 128-bit otherwise (SSE2 lanes on x86_64, emulated
+    /// lanes on other targets).
     Striped,
     /// Wozniak anti-diagonal SIMD, 128-bit (8 × 16-bit lanes).
     Vmx128,
@@ -742,7 +748,9 @@ impl Engine {
         match self {
             Engine::Sw => "scalar Smith-Waterman (Gotoh affine gaps)",
             Engine::SwLazy => "scalar Smith-Waterman, SSEARCH lazy-F loop",
-            Engine::Striped => "Farrar striped SIMD SW, adaptive 8/16-bit, 128-bit, SSE2 on x86_64",
+            Engine::Striped => {
+                "Farrar striped SIMD SW, adaptive 8/16-bit, SSE2, AVX2 for long queries"
+            }
             Engine::Vmx128 => "anti-diagonal SIMD SW, 128-bit Altivec model",
             Engine::Vmx256 => "anti-diagonal SIMD SW, 256-bit extension",
             Engine::Fasta => "FASTA heuristic: ktup diagonals + banded opt",
@@ -792,9 +800,11 @@ impl Engine {
             Engine::SwLazy => {
                 visitor.visit(self, &SwLazyEngine::new(req.query, req.matrix, req.gaps))
             }
-            Engine::Striped => visitor.visit(
-                self,
-                &StripedEngine::<16, 8>::from_query(req.query, req.matrix, req.gaps),
+            Engine::Striped => striped_dispatch(
+                req.query.len(),
+                req.gaps,
+                |word_lanes| QueryProfile::build_shared(req.query, req.matrix, word_lanes),
+                visitor,
             ),
             Engine::Vmx128 => visitor.visit(
                 self,
@@ -897,6 +907,28 @@ impl Engine {
             }
         }
         self.dispatch(req, Run { req, db, threads })
+    }
+}
+
+/// The `Engine::Striped` arm of [`Engine::dispatch`], with the query
+/// profile supplied by the caller: builds the [`StripedEngine`] at the
+/// register width [`striped::use_256_bit`] picks for a `query_len`-residue
+/// query on this CPU — `<32, 16>` with `profile(16)` or `<16, 8>` with
+/// `profile(8)` — and hands it to `visitor`. A server passes a closure
+/// over its [`sapa_bioseq::profile::ProfileCache`], so both front ends
+/// keep the one width rule.
+pub fn striped_dispatch<V: EngineVisitor>(
+    query_len: usize,
+    gaps: GapPenalties,
+    profile: impl FnOnce(usize) -> Arc<QueryProfile>,
+    visitor: V,
+) -> V::Out {
+    if striped::use_256_bit(query_len, striped::avx2_detected()) {
+        let engine = StripedEngine::<32, 16>::with_profile(profile(16), gaps);
+        visitor.visit(Engine::Striped, &engine)
+    } else {
+        let engine = StripedEngine::<16, 8>::with_profile(profile(8), gaps);
+        visitor.visit(Engine::Striped, &engine)
     }
 }
 
@@ -1060,6 +1092,43 @@ mod tests {
             BlastEngine::new(q.residues(), &m, g, blast::BlastParams::default()).name(),
             "blast"
         );
+    }
+
+    #[test]
+    fn striped_dispatch_follows_the_width_rule() {
+        struct Name;
+        impl EngineVisitor for Name {
+            type Out = &'static str;
+            fn visit<E: AlignmentEngine>(self, _id: Engine, engine: &E) -> &'static str {
+                engine.name()
+            }
+        }
+        let m = SubstitutionMatrix::blosum62();
+        let queries = QuerySet::paper();
+        let long = queries.by_accession("P03435").unwrap().residues();
+        for query in [&long[..40], long] {
+            let req = SearchRequest {
+                query,
+                matrix: &m,
+                gaps: GapPenalties::paper(),
+                top_k: 10,
+                min_score: 1,
+                deadline: None,
+                report_alignments: false,
+                prefilter: Prefilter::Off,
+            };
+            let want = if striped::use_256_bit(query.len(), striped::avx2_detected()) {
+                "striped256"
+            } else {
+                "striped"
+            };
+            assert_eq!(
+                Engine::Striped.dispatch(&req, Name),
+                want,
+                "{}",
+                query.len()
+            );
+        }
     }
 
     #[test]

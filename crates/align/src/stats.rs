@@ -87,7 +87,7 @@ impl KarlinAltschul {
         let m_eff = (m - l).max(1.0);
         let n_eff = (n - nseq * l).max(nseq);
         let s_bits = self.bit_score(raw);
-        m_eff * n_eff * 2f64.powf(-s_bits)
+        m_eff * n_eff * (-s_bits).exp2()
     }
 
     /// The raw score needed for an E-value of `e` in an `m × n` space

@@ -42,18 +42,32 @@
 //!
 //! Each kernel is written once, generic over a [`Lanes`] register type
 //! (`*_with_lanes`). The const-generic entry points pick the type from
-//! the lane count: at the 128-bit width (8 word / 16 byte lanes) on
-//! x86_64 they run the SSE2 registers of [`sapa_vsimd::sse2`], the
-//! layout of SSW's SSE2 kernel; every other width and target runs the
-//! emulated [`Vector`]/[`ByteVector`]. SSE2 is part of the x86_64
-//! baseline, so the choice is made at compile time with nothing to
-//! detect or configure.
+//! the lane count, in three backends:
+//!
+//! * 16 byte / 8 word lanes on x86_64 run the SSE2 registers of
+//!   [`sapa_vsimd::sse2`], the layout of SSW's SSE2 kernel. SSE2 is part
+//!   of the x86_64 baseline, so this choice is made at compile time;
+//! * 32 byte / 16 word lanes on an x86_64 CPU that has AVX2 run 256-bit
+//!   AVX2 registers. AVX2 is not in the baseline, so this is the one
+//!   width detected at run time (`is_x86_feature_detected!`); the
+//!   register types are private to this module and exist only inside
+//!   `#[target_feature(enable = "avx2")]` functions that run after the
+//!   check;
+//! * every other width, target and CPU runs the emulated
+//!   [`Vector`]/[`ByteVector`].
+//!
+//! Wider registers pay off only on long queries: per-column work that
+//! does not grow with the query, and a lane shift that has to cross the
+//! two 128-bit halves, make 256 bits slower than SSE2 below a few
+//! stripes. [`use_256_bit`] is the one rule that picks the width of
+//! `Engine::Striped` and of the daemon's striped path from the query
+//! length; see [`WIDE_MIN_STRIPES`] for the measured crossover.
 //!
 //! Every variant is score-identical to the scalar Gotoh oracle
-//! ([`crate::sw::score`]), and the SSE2 lanes are bit-identical to the
-//! emulated ones, `None` (saturation) decisions included; the property
-//! suite in `tests/properties.rs` enforces both at both lane widths,
-//! both precisions, and across the overflow boundary.
+//! ([`crate::sw::score`]), and the SSE2 and AVX2 lanes are bit-identical
+//! to the emulated ones, `None` (saturation) decisions included; the
+//! property suite in `tests/properties.rs` enforces both at both lane
+//! widths, both precisions, and across the overflow boundary.
 //!
 //! ```
 //! use sapa_align::striped;
@@ -78,6 +92,47 @@ use sapa_bioseq::{AminoAcid, SubstitutionMatrix};
 use sapa_vsimd::sse2::{I16x8, U8x16};
 use sapa_vsimd::{ByteVector, Lanes, Vector};
 
+#[cfg(target_arch = "x86_64")]
+mod avx2;
+
+/// The shortest query, in stripes of 32 residues (one byte segment of
+/// the 256-bit layout), that [`use_256_bit`] sends to the AVX2 kernels.
+///
+/// Chosen from the measured SSE2/AVX2 time ratio of the adaptive scan
+/// (same process, alternating, 400 subjects, two runs; DESIGN §5.9):
+/// 256 bits lose 2–17% up to 96 residues, break even at 128–144, and
+/// win from 160 residues on (1.07×), up to 1.44× at 567.
+pub const WIDE_MIN_STRIPES: usize = 5;
+
+/// Whether a striped search of a `query_len`-residue query runs on
+/// 256-bit AVX2 lanes (`StripedEngine::<32, 16>`, a profile of 16 word
+/// lanes) rather than 128-bit SSE2 (`<16, 8>`, 8 word lanes): only
+/// when `avx2` — pass [`avx2_detected`] — and the query fills at least
+/// [`WIDE_MIN_STRIPES`] stripes of 32 residues.
+///
+/// The width changes no score, end cell or byte-pass decision, only
+/// the time a scan takes.
+///
+/// ```
+/// use sapa_align::striped::use_256_bit;
+///
+/// assert!(use_256_bit(567, true));
+/// assert!(!use_256_bit(40, true)); // short queries stay on SSE2
+/// assert!(!use_256_bit(567, false)); // and so does a CPU without AVX2
+/// ```
+pub fn use_256_bit(query_len: usize, avx2: bool) -> bool {
+    avx2 && query_len >= WIDE_MIN_STRIPES * 32
+}
+
+/// Whether this CPU runs AVX2, detected once per process by the
+/// standard library; always `false` off x86_64.
+pub fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
+}
+
 /// Per-subject row state of a striped kernel: H of the current and the
 /// previous column and E, each `segments × lanes` elements laid out
 /// like a profile row.
@@ -93,7 +148,9 @@ impl<T: Copy> Rows<T> {
     /// `dead` — and lends them out as `(h_store, h_load, e)` slices of
     /// exactly `len` elements. A kernel swaps the two H slices between
     /// columns in registers, and the columns' loops over equal-length
-    /// slices need no per-column length bookkeeping.
+    /// slices need no per-column length bookkeeping — as long as the
+    /// kernel sees that, so it is always inlined.
+    #[inline(always)]
     fn reset(&mut self, len: usize, zero: T, dead: T) -> (&mut [T], &mut [T], &mut [T]) {
         for (row, fill) in [
             (&mut self.h_store, zero),
@@ -144,6 +201,7 @@ impl<const L: usize> ByteWorkspace<L> {
 
 /// Checks that lane type `V`, workspace width `L` and the profile's
 /// word layout agree.
+#[inline(always)]
 fn check_word_lanes<V: Lanes, const L: usize>(profile: &QueryProfile) {
     assert_eq!(V::LANES, L, "lane type does not match workspace width");
     assert_eq!(
@@ -159,8 +217,9 @@ fn check_word_lanes<V: Lanes, const L: usize>(profile: &QueryProfile) {
 /// Exact as long as the true score stays below `i16::MAX` (the same
 /// contract as [`crate::simd_sw::score`]). `ws` is per-subject scratch
 /// that callers reuse across a database scan. At `L = 8` on x86_64 this
-/// runs on SSE2 registers ([`I16x8`]); every other width and target
-/// runs the emulated [`Vector<L>`] through [`score_with_lanes`].
+/// runs on SSE2 registers ([`I16x8`]), at `L = 16` on AVX2 registers
+/// when the CPU has them; every other width, target and CPU runs the
+/// emulated [`Vector<L>`] through [`score_with_lanes`].
 ///
 /// # Panics
 ///
@@ -172,20 +231,28 @@ pub fn score_with_profile<const L: usize>(
     ws: &mut Workspace<L>,
 ) -> i32 {
     #[cfg(target_arch = "x86_64")]
-    if L == I16x8::LANES {
-        return score_with_lanes::<I16x8, L>(profile, b, gaps, ws);
+    {
+        if L == I16x8::LANES {
+            return score_with_lanes::<I16x8, L>(profile, b, gaps, ws);
+        }
+        if L == 16 && avx2_detected() {
+            // SAFETY: `avx2_detected()` just confirmed this CPU runs AVX2.
+            return unsafe { avx2::score_words(profile, b, gaps, ws) };
+        }
     }
     score_with_lanes::<Vector<L>, L>(profile, b, gaps, ws)
 }
 
 /// [`score_with_profile`] on an explicit lane type `V` with `L` lanes —
 /// the one 16-bit kernel body, exposed so tests and benchmarks can run
-/// the SSE2 and the emulated lanes side by side.
+/// the production and the emulated lanes side by side. Always inlined,
+/// so the AVX2 entry point compiles it with AVX2 enabled.
 ///
 /// # Panics
 ///
 /// Panics if `V` does not have `L` lanes or the profile was built for a
 /// different word lane count.
+#[inline(always)]
 pub fn score_with_lanes<V: Lanes<Elem = i16>, const L: usize>(
     profile: &QueryProfile,
     b: &[AminoAcid],
@@ -215,6 +282,7 @@ struct WordConsts<V> {
 }
 
 impl<V: Lanes<Elem = i16>> WordConsts<V> {
+    #[inline(always)]
     fn new(gaps: GapPenalties) -> Self {
         WordConsts {
             open_ext: V::splat((gaps.open + gaps.extend) as i16),
@@ -324,8 +392,9 @@ fn lazy_f<V: Lanes, const L: usize>(
 /// Scores are biased by `profile.bias()` during the profile add, and the
 /// kernel bails out as soon as any cell comes within one matrix-maximum
 /// of the `u8` ceiling — a `Some` result is always exact. At `L = 16`
-/// on x86_64 this runs on SSE2 registers ([`U8x16`]); every other width
-/// and target runs the emulated [`ByteVector<L>`] through
+/// on x86_64 this runs on SSE2 registers ([`U8x16`]), at `L = 32` on
+/// AVX2 registers when the CPU has them; every other width, target and
+/// CPU runs the emulated [`ByteVector<L>`] through
 /// [`score_bytes_with_lanes`].
 ///
 /// # Panics
@@ -338,20 +407,28 @@ pub fn score_bytes_with_profile<const L: usize>(
     ws: &mut ByteWorkspace<L>,
 ) -> Option<i32> {
     #[cfg(target_arch = "x86_64")]
-    if L == U8x16::LANES {
-        return score_bytes_with_lanes::<U8x16, L>(profile, b, gaps, ws);
+    {
+        if L == U8x16::LANES {
+            return score_bytes_with_lanes::<U8x16, L>(profile, b, gaps, ws);
+        }
+        if L == 32 && avx2_detected() {
+            // SAFETY: `avx2_detected()` just confirmed this CPU runs AVX2.
+            return unsafe { avx2::score_bytes(profile, b, gaps, ws) };
+        }
     }
     score_bytes_with_lanes::<ByteVector<L>, L>(profile, b, gaps, ws)
 }
 
 /// [`score_bytes_with_profile`] on an explicit lane type `V` with `L`
 /// lanes — the one byte kernel body, exposed so tests and benchmarks
-/// can run the SSE2 and the emulated lanes side by side.
+/// can run the production and the emulated lanes side by side. Always
+/// inlined, like [`score_with_lanes`].
 ///
 /// # Panics
 ///
 /// Panics if `V` does not have `L` lanes or the profile was built for a
 /// different byte lane count.
+#[inline(always)]
 pub fn score_bytes_with_lanes<V: Lanes<Elem = u8>, const L: usize>(
     profile: &QueryProfile,
     b: &[AminoAcid],
@@ -486,20 +563,27 @@ pub fn score_ends_with_profile<const L: usize>(
     ws: &mut Workspace<L>,
 ) -> ScoreEnds {
     #[cfg(target_arch = "x86_64")]
-    if L == I16x8::LANES {
-        return score_ends_with_lanes::<I16x8, L>(profile, b, gaps, ws);
+    {
+        if L == I16x8::LANES {
+            return score_ends_with_lanes::<I16x8, L>(profile, b, gaps, ws);
+        }
+        if L == 16 && avx2_detected() {
+            // SAFETY: `avx2_detected()` just confirmed this CPU runs AVX2.
+            return unsafe { avx2::score_ends(profile, b, gaps, ws) };
+        }
     }
     score_ends_with_lanes::<Vector<L>, L>(profile, b, gaps, ws)
 }
 
 /// [`score_ends_with_profile`] on an explicit lane type `V` with `L`
-/// lanes, exposed so tests can run the SSE2 and the emulated lanes
-/// side by side.
+/// lanes, exposed so tests can run the production and the emulated
+/// lanes side by side. Always inlined, like [`score_with_lanes`].
 ///
 /// # Panics
 ///
 /// Panics if `V` does not have `L` lanes or the profile was built for a
 /// different word lane count.
+#[inline(always)]
 pub fn score_ends_with_lanes<V: Lanes<Elem = i16>, const L: usize>(
     profile: &QueryProfile,
     b: &[AminoAcid],
@@ -766,6 +850,20 @@ mod tests {
         // No positive score: empty inputs report zero.
         let empty = score_ends_with_profile::<8>(&profile, &[], g, &mut ws);
         assert_eq!(empty.score, 0);
+    }
+
+    #[test]
+    fn width_rule_needs_avx2_and_a_long_query() {
+        let threshold = WIDE_MIN_STRIPES * 32;
+        for avx2 in [false, true] {
+            // The daemon's 20–60-residue traffic stays on 128 bits.
+            for short in [0, 1, 20, 40, 60, threshold - 1] {
+                assert!(!use_256_bit(short, avx2), "{short} residues");
+            }
+            for long in [threshold, 222, 567, 4096] {
+                assert_eq!(use_256_bit(long, avx2), avx2, "{long} residues");
+            }
+        }
     }
 
     #[test]

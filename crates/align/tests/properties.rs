@@ -856,16 +856,53 @@ fn sse2_lane_ops_match_emulated_twins() {
 /// backend reused across every subject.
 #[test]
 fn sse2_kernels_are_bit_identical_to_emulated_lanes() {
+    // 1 residue up to 8 word segments (64 residues) and beyond.
+    let lens: Vec<usize> = (0..CASES).map(|case| 1 + case * 80 / CASES).collect();
+    let (overflowed, answered) = kernels_match_emulated_lanes::<16, 8>(0x5E2E, &lens);
+    // Both sides of the saturation guard were exercised.
+    assert!(
+        overflowed > 20 && answered > 100,
+        "{overflowed} / {answered}"
+    );
+}
+
+/// The 256-bit twin of `sse2_kernels_are_bit_identical_to_emulated_lanes`:
+/// on a CPU with AVX2 the production kernels run AVX2 lanes, against
+/// `ByteVector<32>`/`Vector<16>`, with queries of up to 400 residues
+/// (13 byte stripes), on and next to stripe boundaries.
+#[test]
+fn avx2_kernels_are_bit_identical_to_emulated_lanes() {
+    if !striped::avx2_detected() {
+        eprintln!("note: this CPU has no AVX2; both sides run the emulated 256-bit lanes");
+    }
+    let lens = [
+        1, 2, 16, 31, 32, 33, 64, 65, 100, 159, 160, 161, 255, 320, 400,
+    ];
+    let (overflowed, answered) = kernels_match_emulated_lanes::<32, 16>(0xA2F2, &lens);
+    assert!(
+        overflowed > 10 && answered > 25,
+        "{overflowed} / {answered}"
+    );
+}
+
+/// Runs the production striped kernels at `LB` byte / `LW` word lanes
+/// and the same kernel bodies on emulated lanes over one query of about
+/// each length in `lens` (even cases random under paper gaps, odd ones
+/// gappy under cheap gaps), asserting identical results and agreement
+/// with the scalar oracle. Returns how many byte passes gave up
+/// (`None`) and how many answered.
+fn kernels_match_emulated_lanes<const LB: usize, const LW: usize>(
+    seed: u64,
+    lens: &[usize],
+) -> (usize, usize) {
     let m = SubstitutionMatrix::blosum62();
-    let mut rng = Xoshiro256::new(0x5E2E);
-    let mut ws = striped::Workspace::<8>::new();
-    let mut ws_emu = striped::Workspace::<8>::new();
-    let mut bws = striped::ByteWorkspace::<16>::new();
-    let mut bws_emu = striped::ByteWorkspace::<16>::new();
+    let mut rng = Xoshiro256::new(seed);
+    let mut ws = striped::Workspace::<LW>::new();
+    let mut ws_emu = striped::Workspace::<LW>::new();
+    let mut bws = striped::ByteWorkspace::<LB>::new();
+    let mut bws_emu = striped::ByteWorkspace::<LB>::new();
     let (mut overflowed, mut answered) = (0, 0);
-    for case in 0..CASES {
-        // 1 residue up to 8 word segments (64 residues) and beyond.
-        let qlen = 1 + case * 80 / CASES;
+    for (case, &qlen) in lens.iter().enumerate() {
         let query: Vec<AminoAcid> = if case % 2 == 0 {
             (0..qlen).map(|_| residue(&mut rng)).collect()
         } else {
@@ -878,7 +915,7 @@ fn sse2_kernels_are_bit_identical_to_emulated_lanes() {
         } else {
             GapPenalties::new(2, 1)
         };
-        let profile = QueryProfile::build(&query, &m, 8);
+        let profile = QueryProfile::build(&query, &m, LW);
         // Random decoys, gappy subjects, and copies of the query —
         // a long self-match crosses the byte guard, a short one not.
         let mut near = query.clone();
@@ -895,19 +932,19 @@ fn sse2_kernels_are_bit_identical_to_emulated_lanes() {
         ];
         for (k, b) in subjects.iter().enumerate() {
             let expect = sw::score(&query, b, &m, g);
-            let word = striped::score_with_profile::<8>(&profile, b, g, &mut ws);
-            let word_emu = striped::score_with_lanes::<Vector<8>, 8>(&profile, b, g, &mut ws_emu);
+            let word = striped::score_with_profile::<LW>(&profile, b, g, &mut ws);
+            let word_emu = striped::score_with_lanes::<Vector<LW>, LW>(&profile, b, g, &mut ws_emu);
             assert_eq!(word, word_emu, "word case {case} subject {k}");
             assert_eq!(word, expect, "word vs scalar case {case} subject {k}");
 
-            let ends = striped::score_ends_with_profile::<8>(&profile, b, g, &mut ws);
+            let ends = striped::score_ends_with_profile::<LW>(&profile, b, g, &mut ws);
             let ends_emu =
-                striped::score_ends_with_lanes::<Vector<8>, 8>(&profile, b, g, &mut ws_emu);
+                striped::score_ends_with_lanes::<Vector<LW>, LW>(&profile, b, g, &mut ws_emu);
             assert_eq!(ends, ends_emu, "ends case {case} subject {k}");
 
-            let byte = striped::score_bytes_with_profile::<16>(&profile, b, g, &mut bws);
+            let byte = striped::score_bytes_with_profile::<LB>(&profile, b, g, &mut bws);
             let byte_emu =
-                striped::score_bytes_with_lanes::<ByteVector<16>, 16>(&profile, b, g, &mut bws_emu);
+                striped::score_bytes_with_lanes::<ByteVector<LB>, LB>(&profile, b, g, &mut bws_emu);
             assert_eq!(byte, byte_emu, "byte case {case} subject {k}");
             match byte {
                 Some(s) => {
@@ -918,16 +955,14 @@ fn sse2_kernels_are_bit_identical_to_emulated_lanes() {
             }
         }
     }
-    // Both sides of the saturation guard were exercised.
-    assert!(
-        overflowed > 20 && answered > 100,
-        "{overflowed} / {answered}"
-    );
+    (overflowed, answered)
 }
 
-/// `Engine::Striped` (SSE2 lanes on x86_64) returns the same ranked
-/// hits, statistics and rescore count as the same engine on emulated
-/// lanes.
+/// `Engine::Striped` returns the same ranked hits, statistics and
+/// rescore count as `StripedEngine::<16, 8>` on emulated lanes. The
+/// width rule sends the 143-residue query to SSE2 and, on a CPU with
+/// AVX2, the 222- and 464-residue queries to 256-bit AVX2 lanes, so this
+/// also checks the two widths against each other.
 #[test]
 fn striped_engine_matches_an_emulated_lanes_engine() {
     use sapa_align::engine::{search_with, AlignmentEngine};
@@ -974,11 +1009,12 @@ fn striped_engine_matches_an_emulated_lanes_engine() {
 
     let m = SubstitutionMatrix::blosum62();
     let queries = QuerySet::paper();
-    for (accession, seed) in [("P02232", 31), ("P14942", 32)] {
+    // The long query gets a smaller corpus, to keep the debug build quick.
+    for (accession, seed, seqs) in [("P02232", 31, 60), ("P14942", 32, 60), ("P01008", 33, 16)] {
         let query = queries.by_accession(accession).unwrap();
         let db = DatabaseBuilder::new()
             .seed(seed)
-            .sequences(60)
+            .sequences(seqs)
             .median_length(120.0)
             .homolog_template(query.clone())
             .homolog_fraction(0.25)
@@ -1000,14 +1036,14 @@ fn striped_engine_matches_an_emulated_lanes_engine() {
                 gaps,
             };
             for threads in [1, 3] {
-                let sse2 = Engine::Striped.search(&req, &slices, threads);
+                let production = Engine::Striped.search(&req, &slices, threads);
                 let emu = search_with(Engine::Striped, &emulated, &req, &slices, threads);
                 assert!(
-                    sse2.stats.rescored > 0,
+                    production.stats.rescored > 0,
                     "{accession}: no subject overflowed"
                 );
-                assert_eq!(sse2.stats.rescored, emu.stats.rescored, "{accession}");
-                assert_eq!(sse2, emu, "{accession} threads {threads}");
+                assert_eq!(production.stats.rescored, emu.stats.rescored, "{accession}");
+                assert_eq!(production, emu, "{accession} threads {threads}");
             }
         }
     }

@@ -15,15 +15,12 @@
 //! repository root (same shape as `BENCH_striped.json`) with per-engine
 //! cells-per-second and derived cross-engine speedups.
 
-use sapa_bench::harness::{BenchmarkId, Criterion, Throughput};
+use sapa_bench::harness::{BenchmarkGroup, BenchmarkId, Criterion, Throughput};
 use sapa_bench::{bench_db, bench_query, slices};
-use sapa_core::align::engine::{
-    AlignmentEngine, AntiDiagonalEngine, BlastEngine, Engine, FastaEngine, StripedEngine, SwEngine,
-    SwLazyEngine,
-};
-use sapa_core::align::{banded, blast, fasta, nw, parallel, simd_sw, sw};
+use sapa_core::align::engine::{AlignmentEngine, Engine, EngineVisitor, Prefilter, SearchRequest};
+use sapa_core::align::{banded, nw, parallel, simd_sw, sw};
 use sapa_core::bioseq::matrix::GapPenalties;
-use sapa_core::bioseq::SubstitutionMatrix;
+use sapa_core::bioseq::{AminoAcid, SubstitutionMatrix};
 
 fn sw_variants(c: &mut Criterion) {
     let matrix = SubstitutionMatrix::blosum62();
@@ -82,72 +79,53 @@ fn other_kernels(c: &mut Criterion) {
 /// The engine sweep: every registry backend runs the identical scan
 /// through `parallel::engine_scores`, serially, with its query context
 /// (profile / word index / k-tuple table) built once up front — the
-/// amortized serving configuration.
+/// amortized serving configuration. Each engine is the one
+/// [`Engine::dispatch`] builds, so the `striped` row runs at the width
+/// `striped::use_256_bit` picks for the 222-residue query: 256-bit AVX2
+/// lanes on a CPU that has them.
 fn engines(c: &mut Criterion) {
     let matrix = SubstitutionMatrix::blosum62();
-    let gaps = GapPenalties::paper();
     let query = bench_query();
     let db = bench_db(200);
     let subjects = slices(&db);
     let residues: u64 = db.iter().map(|s| s.len() as u64).sum();
     let cells = query.len() as u64 * residues;
 
-    fn bench_one<E: AlignmentEngine>(
-        group: &mut sapa_bench::harness::BenchmarkGroup<'_>,
-        name: &str,
-        engine: &E,
-        subjects: &[&[sapa_core::bioseq::AminoAcid]],
-    ) {
-        group.bench_function(name, |b| {
-            b.iter(|| parallel::engine_scores(engine, subjects, 1))
-        });
+    struct Bench<'g, 'c, 's> {
+        group: &'g mut BenchmarkGroup<'c>,
+        subjects: &'s [&'s [AminoAcid]],
+    }
+    impl EngineVisitor for Bench<'_, '_, '_> {
+        type Out = ();
+        fn visit<E: AlignmentEngine>(self, id: Engine, engine: &E) {
+            let subjects = self.subjects;
+            self.group.bench_function(id.name(), |b| {
+                b.iter(|| parallel::engine_scores(engine, subjects, 1))
+            });
+        }
     }
 
     let mut group = c.benchmark_group("engine_scan_200seqs");
     group.throughput(Throughput::Elements(cells));
-    let q = query.residues();
-    bench_one(
-        &mut group,
-        Engine::Sw.name(),
-        &SwEngine::new(q, &matrix, gaps),
-        &subjects,
-    );
-    bench_one(
-        &mut group,
-        Engine::SwLazy.name(),
-        &SwLazyEngine::new(q, &matrix, gaps),
-        &subjects,
-    );
-    bench_one(
-        &mut group,
-        Engine::Striped.name(),
-        &StripedEngine::<16, 8>::from_query(q, &matrix, gaps),
-        &subjects,
-    );
-    bench_one(
-        &mut group,
-        Engine::Vmx128.name(),
-        &AntiDiagonalEngine::<8>::new(q, &matrix, gaps),
-        &subjects,
-    );
-    bench_one(
-        &mut group,
-        Engine::Vmx256.name(),
-        &AntiDiagonalEngine::<16>::new(q, &matrix, gaps),
-        &subjects,
-    );
-    bench_one(
-        &mut group,
-        Engine::Fasta.name(),
-        &FastaEngine::new(q, &matrix, gaps, fasta::FastaParams::default()),
-        &subjects,
-    );
-    bench_one(
-        &mut group,
-        Engine::Blast.name(),
-        &BlastEngine::new(q, &matrix, gaps, blast::BlastParams::default()),
-        &subjects,
-    );
+    let req = SearchRequest {
+        query: query.residues(),
+        matrix: &matrix,
+        gaps: GapPenalties::paper(),
+        top_k: 10,
+        min_score: 1,
+        deadline: None,
+        report_alignments: false,
+        prefilter: Prefilter::Off,
+    };
+    for engine in Engine::ALL {
+        engine.dispatch(
+            &req,
+            Bench {
+                group: &mut group,
+                subjects: &subjects,
+            },
+        );
+    }
     group.finish();
 }
 

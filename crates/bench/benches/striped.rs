@@ -11,6 +11,11 @@
 //!   kernel bodies on the emulated vectors in the same process, for the
 //!   word and the byte kernel. The `_cheapgap` row reruns the word
 //!   kernel under `open=2, extend=1`, where lazy-F corrections fire;
+//! * `striped_long_query` — the byte kernel on the longest Table II
+//!   query (P03435, 567 residues), where the width rule picks 256 bits:
+//!   the production 256-bit kernel (AVX2 lanes on a CPU that has them),
+//!   the same kernel body on emulated 32-lane vectors, and the 128-bit
+//!   SSE2 kernel, all in one run;
 //! * `striped_traceback` — what full alignment output costs on top of
 //!   the score-only scan: `score_only` vs the end-tracking pass vs the
 //!   complete three-pass traceback (ends + reversed pass + banded
@@ -23,13 +28,15 @@
 //! Outside `--test` mode the run writes `BENCH_striped.json` at the
 //! repository root with every median plus derived ratios, including
 //! `sse2_vs_emulated_bytes`/`sse2_vs_emulated_words` (emulated median
-//! over SSE2 median, same run) and `traceback_overhead` (full
-//! three-pass alignment vs score-only).
+//! over SSE2 median, same run), `avx2_vs_emulated_bytes` and
+//! `avx2_vs_sse2_bytes` (the long-query trio; `null` on a CPU without
+//! AVX2, where the 256-bit row runs emulated lanes) and
+//! `traceback_overhead` (full three-pass alignment vs score-only).
 //!
 //! `--smoke` runs a cut-down variant for CI: fewer samples, no scan
 //! group, output to `BENCH_striped_smoke.json` (gitignored) — enough
-//! for the CI gate on the same-run SSE2/emulated byte-kernel ratio
-//! without minutes of benchmarking.
+//! for the CI gates on the same-run SSE2/emulated and AVX2/emulated
+//! byte-kernel ratios without minutes of benchmarking.
 
 use sapa_bench::harness::{Criterion, Throughput};
 use sapa_bench::{bench_db, bench_query, slices};
@@ -37,6 +44,7 @@ use sapa_core::align::engine::StripedEngine;
 use sapa_core::align::striped::{self, ByteWorkspace, Workspace};
 use sapa_core::align::{parallel, simd_sw, sw, traceback};
 use sapa_core::bioseq::matrix::GapPenalties;
+use sapa_core::bioseq::queries::QuerySet;
 use sapa_core::bioseq::{QueryProfile, SubstitutionMatrix};
 use sapa_core::vsimd::{ByteVector, Vector};
 
@@ -110,6 +118,36 @@ fn kernels(c: &mut Criterion) {
                 &p256, subject, gaps, &mut bws32, &mut ws16b,
             )
         })
+    });
+    group.finish();
+}
+
+/// The byte kernel at both widths on a query long enough for 256 bits
+/// to pay off.
+fn long_query(c: &mut Criterion) {
+    let matrix = SubstitutionMatrix::blosum62();
+    let gaps = GapPenalties::paper();
+    let queries = QuerySet::paper();
+    let query = queries.by_accession("P03435").expect("Table II query");
+    let db = bench_db(4);
+    let subject = db[0].residues();
+    let p128 = QueryProfile::build(query.residues(), &matrix, 8);
+    let p256 = QueryProfile::build(query.residues(), &matrix, 16);
+
+    let mut group = c.benchmark_group("striped_long_query");
+    group.throughput(Throughput::Elements((query.len() * subject.len()) as u64));
+    let mut bws32 = ByteWorkspace::<32>::new();
+    group.bench_function("striped_b8_vmx256", |b| {
+        b.iter(|| striped::score_bytes_with_profile::<32>(&p256, subject, gaps, &mut bws32))
+    });
+    group.bench_function("striped_b8_vmx256_emulated", |b| {
+        b.iter(|| {
+            striped::score_bytes_with_lanes::<ByteVector<32>, 32>(&p256, subject, gaps, &mut bws32)
+        })
+    });
+    let mut bws16 = ByteWorkspace::<16>::new();
+    group.bench_function("striped_b8_vmx128", |b| {
+        b.iter(|| striped::score_bytes_with_profile::<16>(&p128, subject, gaps, &mut bws16))
     });
     group.finish();
 }
@@ -221,15 +259,25 @@ fn write_json(c: &Criterion, path: &str) {
         }
     };
     let speedup = |fast: &str, slow: &str| ratio("striped_kernels", fast, slow);
+    // Without AVX2 the 256-bit row runs emulated lanes: no AVX2 ratio.
+    let avx2 = |slow: &str| {
+        if striped::avx2_detected() {
+            ratio("striped_long_query", "striped_b8_vmx256", slow)
+        } else {
+            "null".to_string()
+        }
+    };
     let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
     let json = format!(
-        "{{\n  \"bench\": \"striped\",\n  \"query\": \"GST-222aa\",\n  \"host_cpus\": {cpus},\n  \"results\": [\n{entries}\n  ],\n  \"derived\": {{\n    \"speedup_striped_w16_vs_anti_diagonal_vmx128\": {},\n    \"speedup_striped_w16_vs_anti_diagonal_vmx256\": {},\n    \"speedup_striped_adaptive_vs_anti_diagonal_vmx128\": {},\n    \"speedup_striped_w16_vs_scalar_vmx128\": {},\n    \"sse2_vs_emulated_bytes\": {},\n    \"sse2_vs_emulated_words\": {},\n    \"traceback_overhead\": {}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"striped\",\n  \"query\": \"GST-222aa\",\n  \"host_cpus\": {cpus},\n  \"results\": [\n{entries}\n  ],\n  \"derived\": {{\n    \"speedup_striped_w16_vs_anti_diagonal_vmx128\": {},\n    \"speedup_striped_w16_vs_anti_diagonal_vmx256\": {},\n    \"speedup_striped_adaptive_vs_anti_diagonal_vmx128\": {},\n    \"speedup_striped_w16_vs_scalar_vmx128\": {},\n    \"sse2_vs_emulated_bytes\": {},\n    \"sse2_vs_emulated_words\": {},\n    \"avx2_vs_emulated_bytes\": {},\n    \"avx2_vs_sse2_bytes\": {},\n    \"traceback_overhead\": {}\n  }}\n}}\n",
         speedup("striped_w16_vmx128", "anti_diagonal_vmx128"),
         speedup("striped_w16_vmx256", "anti_diagonal_vmx256"),
         speedup("striped_b8_adaptive_vmx128", "anti_diagonal_vmx128"),
         speedup("striped_w16_vmx128", "scalar_gotoh"),
         speedup("striped_b8_vmx128", "striped_b8_vmx128_emulated"),
         speedup("striped_w16_vmx128", "striped_w16_vmx128_emulated"),
+        avx2("striped_b8_vmx256_emulated"),
+        avx2("striped_b8_vmx128"),
         ratio("striped_traceback", "score_only", "full_align"),
     );
     match std::fs::write(path, json) {
@@ -243,6 +291,7 @@ fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mut c = Criterion::from_args().sample_size(if smoke { 5 } else { 15 });
     kernels(&mut c);
+    long_query(&mut c);
     traceback_cost(&mut c);
     if !smoke {
         scan(&mut c);

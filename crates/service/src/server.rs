@@ -16,7 +16,8 @@
 //!   flooding tenant cannot starve the rest of the queue.
 //! * A fixed **worker pool** executes searches via
 //!   [`sapa_align::engine::search_with`], reusing striped query
-//!   profiles through a shared [`ProfileCache`], which evicts the least
+//!   profiles, at the width [`striped_dispatch`] picks, through a
+//!   shared [`ProfileCache`], which evicts the least
 //!   recently used past [`sapa_bioseq::profile::PROFILE_CACHE_BYTES`]
 //!   so distinct queries cannot grow the daemon without bound. Worker panics are
 //!   quarantined at two levels: per-subject by the parallel pipeline's
@@ -45,8 +46,8 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use sapa_align::engine::{
-    search_with, AlignmentEngine, Engine, EngineVisitor, Prefilter, SearchRequest, SearchResponse,
-    StripedEngine,
+    search_with, striped_dispatch, AlignmentEngine, Engine, EngineVisitor, Prefilter,
+    SearchRequest, SearchResponse,
 };
 use sapa_bioseq::db::DatabaseBuilder;
 use sapa_bioseq::matrix::GapPenalties;
@@ -627,25 +628,6 @@ fn run_search(state: &Arc<State>, frame: &SearchFrame) -> SearchResponse {
         report_alignments: false,
         prefilter: Prefilter::Off,
     };
-    let threads = state.cfg.search_threads.max(1);
-    let plan = state.cfg.fault_plan;
-    if frame.engine == Engine::Striped {
-        // The hot path: striped searches share query profiles across
-        // requests instead of rebuilding them per scan.
-        let profile = lock_unpoisoned(&state.profiles).get_or_build(&frame.query, &state.matrix, 8);
-        let engine = StripedEngine::<16, 8>::with_profile(profile, req.gaps);
-        return if plan.is_disabled() {
-            search_with(Engine::Striped, &engine, &req, &slices, threads)
-        } else {
-            search_with(
-                Engine::Striped,
-                &FaultyEngine::new(&engine, plan),
-                &req,
-                &slices,
-                threads,
-            )
-        };
-    }
     struct Exec<'r> {
         req: &'r SearchRequest<'r>,
         slices: &'r [&'r [AminoAcid]],
@@ -668,14 +650,24 @@ fn run_search(state: &Arc<State>, frame: &SearchFrame) -> SearchResponse {
             }
         }
     }
-    frame.engine.dispatch(
-        &req,
-        Exec {
-            req: &req,
-            slices: &slices,
-            threads,
-            plan,
+    let exec = Exec {
+        req: &req,
+        slices: &slices,
+        threads: state.cfg.search_threads.max(1),
+        plan: state.cfg.fault_plan,
+    };
+    if frame.engine != Engine::Striped {
+        return frame.engine.dispatch(&req, exec);
+    }
+    // The hot path: striped searches share query profiles across
+    // requests instead of rebuilding them per scan.
+    striped_dispatch(
+        frame.query.len(),
+        req.gaps,
+        |word_lanes| {
+            lock_unpoisoned(&state.profiles).get_or_build(&frame.query, &state.matrix, word_lanes)
         },
+        exec,
     )
 }
 

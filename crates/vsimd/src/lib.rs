@@ -18,7 +18,10 @@
 //! use. The emulated [`Vector`]/[`ByteVector`] implement it, and so do
 //! the `__m128i`-backed [`sse2`] types on x86_64, which the striped
 //! kernels run on at the 128-bit width; the emulated types stay the
-//! oracle they are tested against.
+//! oracle they are tested against. The 256-bit AVX2 lanes are not
+//! here: AVX2 needs run-time detection, and the safe [`Lanes::splat`]
+//! and [`Lanes::load`] would make a public AVX2 type unsound, so
+//! `sapa-align` keeps them private to its striped kernels.
 //!
 //! ```
 //! use sapa_vsimd::V128;

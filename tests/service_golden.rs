@@ -11,12 +11,21 @@
 //! Any change to an engine's scores, the ranking, the statistics or the
 //! reply format changes a digest here. Such a change must update
 //! `GOLDEN` in the same commit: on a mismatch the test prints the
-//! complete table as it now stands, ready to paste.
+//! complete table as it now stands, ready to paste. The windows all
+//! stay below the striped width rule's threshold, so these replies come
+//! from the 128-bit kernels; a second test checks long striped queries,
+//! which the daemon runs at 256 bits on a CPU with AVX2, against the
+//! 128-bit engine.
 
 use std::time::Duration;
 
+use sapa_core::align::engine::{search_with, Engine, Prefilter, SearchRequest, StripedEngine};
+use sapa_core::align::striped;
+use sapa_core::bioseq::matrix::GapPenalties;
 use sapa_core::bioseq::queries::QuerySet;
 use sapa_core::bioseq::rng::Xoshiro256;
+use sapa_core::bioseq::{AminoAcid, SubstitutionMatrix};
+use sapa_service::protocol::render_result;
 use sapa_service::{serve, Client, SearchParams, ServiceConfig};
 
 const ENGINES: [&str; 3] = ["striped", "blast", "fasta"];
@@ -61,8 +70,8 @@ fn digest(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Reply digests by window, in `ENGINES` order, as an unoptimized
-/// (test-profile) build renders them.
+/// Reply digests by window, in `ENGINES` order. Debug and optimized
+/// builds render the same bytes.
 const GOLDEN: [[u64; 3]; SPREAD_WINDOWS + GST_WINDOWS] = [
     [0xc56572da49d99ade, 0xa3051db83d7ff6f5, 0x3c317306a986c4a1],
     [0x1909b8c42b69d14b, 0x977e0824e0758d5e, 0x30d43ee6357bdb8d],
@@ -88,35 +97,13 @@ const GOLDEN: [[u64; 3]; SPREAD_WINDOWS + GST_WINDOWS] = [
     [0xa7480f07a47bda16, 0xb2ff6ce7f4c1930a, 0xe43eda0b927c58d6],
     [0xe821b2f5704f49de, 0x5222475a2d4c8224, 0xebfbb3438631e8ff],
     [0xf562259e0db474cd, 0x622970f13b842c66, 0x32c39a2235572cde],
-    [0x9376983bf3e80776, 0x332faf21532da174, 0x771494be71bded76],
+    [0xed0de13e48900061, 0x6cdb309c90f5dd6b, 0x771494be71bded76],
     [0xee4eea197b3bf4f7, 0x9a6e5e93f3f1771f, 0xcc48dd9b2db7a8bf],
-    [0x2b1460938b92fefb, 0xc2a699251988586d, 0xc9b3f6691829cb82],
+    [0x7de8981c83aeb8f5, 0x8a8f9da036ab7b53, 0xc9b3f6691829cb82],
     [0x9fb88032422e3816, 0xc08cc231fea3159e, 0xaf8cd1d495695132],
     [0xf67e0772e48ecd8d, 0xa6ee4c5a3a0fde27, 0x52f26ceea8ef87aa],
     [0x0d621e4f8719cb91, 0x7099eb55791631e1, 0x20c7fd6abab52b2c],
 ];
-
-/// The replies an optimized build renders differently:
-/// (window, engine, digest). The E-value's `2f64.powf(-bits)` is
-/// lowered to `exp2` by the optimizer, which moves the last digit of
-/// two E-values here.
-const OPTIMIZED: [(usize, usize, u64); 4] = [
-    (24, 0, 0xed0de13e48900061),
-    (24, 1, 0x6cdb309c90f5dd6b),
-    (26, 0, 0x7de8981c83aeb8f5),
-    (26, 1, 0x8a8f9da036ab7b53),
-];
-
-/// The recorded digests for the profile this test was built with.
-fn golden() -> Vec<[u64; 3]> {
-    let mut table = GOLDEN.to_vec();
-    if !cfg!(debug_assertions) {
-        for (w, e, d) in OPTIMIZED {
-            table[w][e] = d;
-        }
-    }
-    table
-}
 
 #[test]
 fn daemon_replies_match_the_recorded_digests() {
@@ -148,8 +135,7 @@ fn daemon_replies_match_the_recorded_digests() {
     let snap = handle.shutdown();
     assert!(snap.balances(), "accounting: {snap:?}");
 
-    let want = golden();
-    if got != want {
+    if got != GOLDEN {
         let mut table = String::new();
         for row in &got {
             table.push_str(&format!(
@@ -159,7 +145,7 @@ fn daemon_replies_match_the_recorded_digests() {
         }
         let differing: Vec<String> = got
             .iter()
-            .zip(&want)
+            .zip(&GOLDEN)
             .enumerate()
             .flat_map(|(w, (g, want))| {
                 (0..3)
@@ -173,4 +159,52 @@ fn daemon_replies_match_the_recorded_digests() {
             differing.join(", ")
         );
     }
+}
+
+/// Table II queries above the striped width rule's threshold, sent with
+/// engine `striped`: on a CPU with AVX2 the daemon scans them at 256
+/// bits, and each reply must still equal, byte for byte, the rendered
+/// response of the 128-bit engine over the same corpus.
+#[test]
+fn long_striped_queries_reply_like_the_128_bit_engine() {
+    let handle = serve(ServiceConfig::default()).expect("daemon starts");
+    let mut client = Client::connect(handle.addr(), Duration::from_secs(60)).expect("connect");
+    let subjects: Vec<&[AminoAcid]> = handle.subjects().iter().map(Vec::as_slice).collect();
+    let matrix = SubstitutionMatrix::blosum62();
+    let queries = QuerySet::paper();
+    for (id, accession) in [(1, "P01111"), (2, "P14942"), (3, "P03435")] {
+        let query = queries.by_accession(accession).expect("Table II query");
+        assert!(
+            striped::use_256_bit(query.len(), true),
+            "{accession} is below the width threshold"
+        );
+        let text: String = query.residues().iter().map(|a| a.to_char()).collect();
+        let params = SearchParams {
+            id,
+            tenant: "wide",
+            engine: "striped",
+            query: &text,
+            top_k: 10,
+            min_score: 1,
+            deadline_cells: None,
+            deadline_ms: None,
+        };
+        let reply = client.request(&params.render()).expect("reply");
+        let req = SearchRequest {
+            query: query.residues(),
+            matrix: &matrix,
+            gaps: GapPenalties::paper(),
+            top_k: params.top_k,
+            min_score: params.min_score,
+            deadline: None,
+            report_alignments: false,
+            prefilter: Prefilter::Off,
+        };
+        let narrow = StripedEngine::<16, 8>::from_query(query.residues(), &matrix, req.gaps);
+        let expect = search_with(Engine::Striped, &narrow, &req, &subjects, 1);
+        assert!(!expect.hits.is_empty(), "{accession}: no hits");
+        assert_eq!(reply, render_result(id, &expect), "{accession}");
+    }
+    drop(client);
+    assert!(handle.shutdown().balances());
 }
