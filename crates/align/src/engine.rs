@@ -63,8 +63,10 @@ use sapa_bioseq::matrix::GapPenalties;
 use sapa_bioseq::profile::QueryProfile;
 use sapa_bioseq::{AminoAcid, SubstitutionMatrix};
 
+use crate::parallel::Claims;
 use crate::result::Alignment;
-use crate::striped::{ByteWorkspace, Workspace as WordWorkspace};
+use crate::striped::lanes::{self, LaneFeed, LaneWorkspace};
+use crate::striped::{ByteWorkspace, Kernel, Workspace as WordWorkspace};
 use crate::{blast, fasta, parallel, simd_sw, stats, striped, sw};
 
 /// A database-search backend: query-side context plus a scoring kernel.
@@ -117,6 +119,30 @@ pub trait AlignmentEngine: Sync {
     fn cost(&self, subject: &[AminoAcid]) -> u64 {
         self.cost_len(subject.len())
     }
+
+    /// Whether a scan of `subject_count` subjects runs through
+    /// [`score_batch`](AlignmentEngine::score_batch) rather than one
+    /// [`score_one`](AlignmentEngine::score_one) call per subject;
+    /// `false` unless the engine scores several subjects at once.
+    fn batches(&self, _subject_count: usize) -> bool {
+        false
+    }
+
+    /// Scores every subject `claims` hands out and reports each score
+    /// through [`Claims::done`], in any order — the path of an engine
+    /// that keeps several subjects in flight, such as [`LaneEngine`].
+    /// Every score and [`rescored`](AlignmentEngine::rescored) count
+    /// must equal what `score_one` gives, and a workspace may count a
+    /// subject only once it reports it: if the batch panics, the
+    /// pipeline keeps the workspace for its counters and scores the
+    /// subjects it had in flight again, one at a time. The default
+    /// scores them one at a time.
+    fn score_batch<'s>(&self, ws: &mut Self::Workspace, claims: &mut Claims<'_, 's>) {
+        while let Some((i, subject)) = claims.next() {
+            let score = self.score_one(ws, subject);
+            claims.done(i, score);
+        }
+    }
 }
 
 /// A shared reference to an engine is itself an engine, so callers
@@ -148,6 +174,14 @@ impl<E: AlignmentEngine + ?Sized> AlignmentEngine for &E {
 
     fn cost(&self, subject: &[AminoAcid]) -> u64 {
         (**self).cost(subject)
+    }
+
+    fn batches(&self, subject_count: usize) -> bool {
+        (**self).batches(subject_count)
+    }
+
+    fn score_batch<'s>(&self, ws: &mut Self::Workspace, claims: &mut Claims<'_, 's>) {
+        (**self).score_batch(ws, claims)
     }
 }
 
@@ -415,6 +449,127 @@ impl<const LB: usize, const LW: usize> AlignmentEngine for StripedEngine<LB, LW>
 
     fn cost_len(&self, subject_len: usize) -> u64 {
         dp_cells(self.profile.query_len(), subject_len)
+    }
+}
+
+/// Per-worker scratch for [`LaneEngine`]: the 128-bit striped scratch,
+/// whose rescore counter also counts the lane kernel's overflows, and
+/// the lane kernel's rows.
+#[derive(Debug, Clone, Default)]
+pub struct LaneScratch {
+    striped: StripedScratch<16, 8>,
+    lanes: LaneWorkspace,
+}
+
+/// The striped engine for short queries: a scan of enough subjects runs
+/// on the inter-sequence lane kernel ([`striped::lanes`]), sixteen
+/// subjects per SSE2 register, and every subject whose byte pass
+/// reaches the guard is rescored on the 16-bit striped kernel; a single
+/// subject, a scan too small to fill the lanes, and the last few
+/// subjects the lanes would finish slowly run exactly as
+/// `StripedEngine::<16, 8>`. [`striped::kernel`] makes that choice, so
+/// scores and rescore counts equal `StripedEngine::<16, 8>`'s either
+/// way.
+pub struct LaneEngine {
+    striped: StripedEngine<16, 8>,
+}
+
+impl LaneEngine {
+    /// Builds the query profile internally and wraps it in an engine.
+    pub fn from_query(
+        query: &[AminoAcid],
+        matrix: &SubstitutionMatrix,
+        gaps: GapPenalties,
+    ) -> Self {
+        Self::with_profile(QueryProfile::build_shared(query, matrix, 8), gaps)
+    }
+
+    /// Wraps an existing shared profile of 8 word lanes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile's word lane count is not 8.
+    pub fn with_profile(profile: Arc<QueryProfile>, gaps: GapPenalties) -> Self {
+        LaneEngine {
+            striped: StripedEngine::with_profile(profile, gaps),
+        }
+    }
+}
+
+impl AlignmentEngine for LaneEngine {
+    type Workspace = LaneScratch;
+
+    fn name(&self) -> &'static str {
+        "striped-lanes"
+    }
+
+    fn workspace(&self) -> Self::Workspace {
+        LaneScratch::default()
+    }
+
+    fn score_one(&self, ws: &mut Self::Workspace, subject: &[AminoAcid]) -> i32 {
+        self.striped.score_one(&mut ws.striped, subject)
+    }
+
+    fn rescored(&self, ws: &Self::Workspace) -> usize {
+        ws.striped.rescored
+    }
+
+    fn cost_len(&self, subject_len: usize) -> u64 {
+        self.striped.cost_len(subject_len)
+    }
+
+    fn batches(&self, subject_count: usize) -> bool {
+        let profile = &self.striped.profile;
+        striped::byte_guard(profile).is_some()
+            && striped::kernel(profile.query_len(), striped::avx2_detected(), subject_count)
+                == Kernel::Lanes
+    }
+
+    fn score_batch<'s>(&self, ws: &mut Self::Workspace, claims: &mut Claims<'_, 's>) {
+        /// Rescores the lane kernel's overflows on the 16-bit striped
+        /// kernel, counting each only as its score is reported.
+        struct Rescore<'a, 'c, 's> {
+            claims: &'a mut Claims<'c, 's>,
+            engine: &'a StripedEngine<16, 8>,
+            scratch: &'a mut StripedScratch<16, 8>,
+        }
+        impl<'s> LaneFeed<'s> for Rescore<'_, '_, 's> {
+            fn next(&mut self) -> Option<(usize, &'s [AminoAcid])> {
+                self.claims.next()
+            }
+
+            fn done(&mut self, index: usize, subject: &'s [AminoAcid], score: Option<i32>) {
+                let score = score.unwrap_or_else(|| {
+                    let e = self.engine;
+                    let s = striped::score_with_profile::<8>(
+                        &e.profile,
+                        subject,
+                        e.gaps,
+                        &mut self.scratch.words,
+                    );
+                    self.scratch.rescored += 1;
+                    s
+                });
+                self.claims.done(index, score);
+            }
+        }
+        let e = &self.striped;
+        let tail = lanes::score_lanes(
+            &e.profile,
+            e.gaps,
+            &mut ws.lanes,
+            &mut Rescore {
+                claims: &mut *claims,
+                engine: e,
+                scratch: &mut ws.striped,
+            },
+        );
+        // The last few subjects of a drained feed, striped.
+        for (i, subject) in tail {
+            let score = e.score_one(&mut ws.striped, subject);
+            claims.done(i, score);
+        }
     }
 }
 
@@ -695,11 +850,14 @@ pub enum Engine {
     Sw,
     /// Scalar Smith-Waterman, SSEARCH lazy-F formulation.
     SwLazy,
-    /// Farrar striped SIMD, adaptive 8/16-bit. The width follows
-    /// [`striped::use_256_bit`]: 256-bit AVX2 lanes for queries of at
-    /// least [`striped::WIDE_MIN_STRIPES`] 32-residue stripes on a CPU
-    /// with AVX2, 128-bit otherwise (SSE2 lanes on x86_64, emulated
-    /// lanes on other targets).
+    /// Adaptive 8/16-bit SIMD Smith-Waterman on the kernel
+    /// [`striped::kernel`] picks: below [`striped::WIDE_MIN_STRIPES`]
+    /// 32-residue stripes, a scan of enough subjects runs on
+    /// inter-sequence byte lanes ([`LaneEngine`], one subject per lane);
+    /// otherwise Farrar striped, on 256-bit AVX2 lanes for long queries
+    /// on a CPU with AVX2 and 128-bit otherwise (SSE2 lanes on x86_64,
+    /// emulated lanes on other targets). Every kernel gives the same
+    /// scores and rescore counts.
     Striped,
     /// Wozniak anti-diagonal SIMD, 128-bit (8 × 16-bit lanes).
     Vmx128,
@@ -749,7 +907,7 @@ impl Engine {
             Engine::Sw => "scalar Smith-Waterman (Gotoh affine gaps)",
             Engine::SwLazy => "scalar Smith-Waterman, SSEARCH lazy-F loop",
             Engine::Striped => {
-                "Farrar striped SIMD SW, adaptive 8/16-bit, SSE2, AVX2 for long queries"
+                "SIMD SW, adaptive 8/16-bit: 16 subjects per SSE2 register for short queries, Farrar striped SSE2 or AVX2 for long ones"
             }
             Engine::Vmx128 => "anti-diagonal SIMD SW, 128-bit Altivec model",
             Engine::Vmx256 => "anti-diagonal SIMD SW, 256-bit extension",
@@ -911,24 +1069,35 @@ impl Engine {
 }
 
 /// The `Engine::Striped` arm of [`Engine::dispatch`], with the query
-/// profile supplied by the caller: builds the [`StripedEngine`] at the
-/// register width [`striped::use_256_bit`] picks for a `query_len`-residue
-/// query on this CPU — `<32, 16>` with `profile(16)` or `<16, 8>` with
-/// `profile(8)` — and hands it to `visitor`. A server passes a closure
-/// over its [`sapa_bioseq::profile::ProfileCache`], so both front ends
-/// keep the one width rule.
+/// profile supplied by the caller: builds the engine [`striped::kernel`]
+/// picks for a `query_len`-residue query on this CPU — a
+/// [`LaneEngine`] with `profile(8)` for short queries,
+/// `StripedEngine::<32, 16>` with `profile(16)` or `<16, 8>` with
+/// `profile(8)` for long ones — and hands it to `visitor`. The subject
+/// count is not known until the scan starts, so the lane engine asks
+/// the same rule again then, and scores a scan too small for its lanes
+/// striped. A server passes a closure over its
+/// [`sapa_bioseq::profile::ProfileCache`], so both front ends keep the
+/// one rule.
 pub fn striped_dispatch<V: EngineVisitor>(
     query_len: usize,
     gaps: GapPenalties,
     profile: impl FnOnce(usize) -> Arc<QueryProfile>,
     visitor: V,
 ) -> V::Out {
-    if striped::use_256_bit(query_len, striped::avx2_detected()) {
-        let engine = StripedEngine::<32, 16>::with_profile(profile(16), gaps);
-        visitor.visit(Engine::Striped, &engine)
-    } else {
-        let engine = StripedEngine::<16, 8>::with_profile(profile(8), gaps);
-        visitor.visit(Engine::Striped, &engine)
+    match striped::kernel(query_len, striped::avx2_detected(), usize::MAX) {
+        Kernel::Lanes => {
+            let engine = LaneEngine::with_profile(profile(8), gaps);
+            visitor.visit(Engine::Striped, &engine)
+        }
+        Kernel::Striped256 => {
+            let engine = StripedEngine::<32, 16>::with_profile(profile(16), gaps);
+            visitor.visit(Engine::Striped, &engine)
+        }
+        Kernel::Striped128 => {
+            let engine = StripedEngine::<16, 8>::with_profile(profile(8), gaps);
+            visitor.visit(Engine::Striped, &engine)
+        }
     }
 }
 
@@ -1117,10 +1286,12 @@ mod tests {
                 report_alignments: false,
                 prefilter: Prefilter::Off,
             };
-            let want = if striped::use_256_bit(query.len(), striped::avx2_detected()) {
-                "striped256"
-            } else {
-                "striped"
+            // The dispatch does not know the subject count; a lane
+            // engine asks again when its scan starts.
+            let want = match striped::kernel(query.len(), striped::avx2_detected(), usize::MAX) {
+                Kernel::Lanes => "striped-lanes",
+                Kernel::Striped256 => "striped256",
+                Kernel::Striped128 => "striped",
             };
             assert_eq!(
                 Engine::Striped.dispatch(&req, Name),

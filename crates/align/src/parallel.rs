@@ -67,15 +67,6 @@ fn auto_chunk(subject_count: usize, threads: usize) -> usize {
     fair.min(DEFAULT_CHUNK)
 }
 
-/// What one worker hands back: scored pairs, quarantined pairs, and
-/// every workspace it used (including ones discarded after a panic, so
-/// per-workspace counters survive and totals stay deterministic).
-struct WorkerYield<W> {
-    scored: Vec<(usize, i32)>,
-    quarantined: Vec<(usize, String)>,
-    workspaces: Vec<W>,
-}
-
 /// What the merged loop hands back to the engine front ends.
 struct ChunkedOutcome<W> {
     /// Per-subject scores; `None` = quarantined or never attempted
@@ -113,36 +104,129 @@ fn run_workers<T: Send>(workers: usize, work: impl Fn() -> T + Sync) -> Vec<T> {
     })
 }
 
+/// One worker's share of a scan: it claims `chunk` consecutive subjects
+/// per `fetch_add` on the shared cursor, hands them out one at a time
+/// as an [`Iterator`], and records the scores reported through
+/// [`Claims::done`] — so an engine that keeps several subjects in
+/// flight ([`AlignmentEngine::score_batch`]) takes the next subject
+/// across claim boundaries instead of draining at each one.
+pub struct Claims<'c, 's> {
+    subjects: &'c [&'s [AminoAcid]],
+    cursor: &'c AtomicUsize,
+    chunk: usize,
+    /// Best-effort cutoff: no new claim once it passes.
+    wall: Option<Instant>,
+    /// The unclaimed rest of the current claim, `next..end`.
+    next: usize,
+    end: usize,
+    /// Handed out and not yet reported, so a panicking batch's subjects
+    /// can be scored again.
+    in_flight: Vec<usize>,
+    scored: Vec<(usize, i32)>,
+    quarantined: Vec<(usize, String)>,
+}
+
+impl<'c, 's> Claims<'c, 's> {
+    fn new(
+        subjects: &'c [&'s [AminoAcid]],
+        cursor: &'c AtomicUsize,
+        chunk: usize,
+        wall: Option<Instant>,
+    ) -> Self {
+        Claims {
+            subjects,
+            cursor,
+            chunk,
+            wall,
+            next: 0,
+            end: 0,
+            in_flight: Vec::new(),
+            scored: Vec::new(),
+            quarantined: Vec::new(),
+        }
+    }
+
+    /// Records the score of subject `index`, which [`Claims::next`]
+    /// handed out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not in flight.
+    pub fn done(&mut self, index: usize, score: i32) {
+        self.land(index);
+        self.scored.push((index, score));
+    }
+
+    /// Takes `index` out of the in-flight set.
+    fn land(&mut self, index: usize) {
+        let at = self
+            .in_flight
+            .iter()
+            .position(|&i| i == index)
+            .unwrap_or_else(|| panic!("subject {index} reported but not in flight"));
+        self.in_flight.swap_remove(at);
+    }
+}
+
+/// Hands out the worker's subjects with their indices.
+impl<'s> Iterator for Claims<'_, 's> {
+    type Item = (usize, &'s [AminoAcid]);
+
+    /// The next subject to score and its index, claiming a new chunk
+    /// when the current one is used up; `None` when every subject is
+    /// claimed or the wall deadline has passed, and again on every
+    /// later call.
+    fn next(&mut self) -> Option<(usize, &'s [AminoAcid])> {
+        if self.next == self.end {
+            if self.wall.is_some_and(|w| Instant::now() >= w) {
+                return None;
+            }
+            let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
+            if start >= self.subjects.len() {
+                return None;
+            }
+            self.next = start;
+            self.end = (start + self.chunk).min(self.subjects.len());
+        }
+        let i = self.next;
+        self.next += 1;
+        self.in_flight.push(i);
+        Some((i, self.subjects[i]))
+    }
+}
+
 /// The one chunked work-claiming loop behind every parallel front end.
 ///
 /// Runs up to `threads` workers (see [`run_workers`]); each builds one
-/// workspace with `make_ws`, claims `chunk` consecutive subjects per
-/// `fetch_add` on a shared cursor, and records `(index, score)` pairs.
-/// The merge restores subject order — output is identical no matter how
-/// chunks interleave — and the workspaces are returned so callers can
-/// harvest per-worker statistics.
+/// workspace and scores the subjects its [`Claims`] hand out, through
+/// [`AlignmentEngine::score_batch`] when the engine
+/// [`batches`](AlignmentEngine::batches) a scan of this size and one
+/// [`AlignmentEngine::score_one`] call at a time otherwise. The merge
+/// restores subject order — output is identical no matter how chunks
+/// interleave — and the workspaces are returned so callers can harvest
+/// per-worker statistics.
 ///
-/// Every `score_fn` call runs under `catch_unwind`: a panicking subject
+/// Every `score_one` call runs under `catch_unwind`: a panicking subject
 /// is recorded in `quarantined` and its worker replaces the workspace
 /// (the panic may have left it mid-update) while keeping the old one
-/// for counter harvesting. With `wall` set, workers stop claiming new
+/// for counter harvesting. A panicking batch retires its workspace the
+/// same way, and its worker scores the rest of its share one subject at
+/// a time, the batch's in-flight subjects first — so each faulting
+/// subject is quarantined exactly as on the per-subject path and no
+/// subject is counted twice. With `wall` set, workers stop claiming new
 /// chunks once the instant passes — a best-effort, non-deterministic
-/// cutoff used only by [`Deadline::Wall`].
-fn chunked_scores<W, M, F>(
-    subject_count: usize,
+/// cutoff used only by [`Deadline::Wall`]; subjects already claimed, in
+/// lanes or not, still finish.
+fn chunked_scores<E: AlignmentEngine>(
+    engine: &E,
+    subjects: &[&[AminoAcid]],
     threads: usize,
     chunk: usize,
     wall: Option<Instant>,
-    make_ws: M,
-    score_fn: F,
-) -> ChunkedOutcome<W>
-where
-    W: Send,
-    M: Fn() -> W + Sync,
-    F: Fn(&mut W, usize) -> i32 + Sync,
-{
+) -> ChunkedOutcome<E::Workspace> {
     assert!(threads > 0, "need at least one thread");
     assert!(chunk > 0, "need a positive chunk size");
+    let subject_count = subjects.len();
     let scores: Vec<Option<i32>> = vec![None; subject_count];
     if subject_count == 0 {
         return ChunkedOutcome {
@@ -153,51 +237,55 @@ where
     }
     let threads = threads.min(subject_count.div_ceil(chunk));
     let cursor = AtomicUsize::new(0);
+    let batch = engine.batches(subject_count);
 
     let partials = run_workers(threads, || {
+        let mut claims = Claims::new(subjects, &cursor, chunk, wall);
         // Reused across every subject this worker scores.
-        let mut ws = make_ws();
-        let mut local = WorkerYield {
-            scored: Vec::new(),
-            quarantined: Vec::new(),
-            workspaces: Vec::new(),
-        };
-        loop {
-            if wall.is_some_and(|w| Instant::now() >= w) {
-                break;
-            }
-            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if start >= subject_count {
-                break;
-            }
-            let end = (start + chunk).min(subject_count);
-            for i in start..end {
-                match catch_unwind(AssertUnwindSafe(|| score_fn(&mut ws, i))) {
-                    Ok(s) => local.scored.push((i, s)),
-                    Err(payload) => {
-                        local.quarantined.push((i, panic_cause(payload)));
-                        // The unwound workspace may be mid-update;
-                        // retire it (counters intact) and continue on a
-                        // fresh one.
-                        local.workspaces.push(std::mem::replace(&mut ws, make_ws()));
-                    }
+        let mut ws = engine.workspace();
+        let mut retired = Vec::new();
+        if batch
+            && catch_unwind(AssertUnwindSafe(|| {
+                engine.score_batch(&mut ws, &mut claims)
+            }))
+            .is_err()
+        {
+            // The batch may have left its workspace mid-update; retire
+            // it (counters intact) and go on one subject at a time.
+            retired.push(std::mem::replace(&mut ws, engine.workspace()));
+        }
+        // In-flight subjects of a panicked batch first, then the rest.
+        while let Some((i, subject)) = claims
+            .in_flight
+            .last()
+            .map(|&i| (i, subjects[i]))
+            .or_else(|| claims.next())
+        {
+            match catch_unwind(AssertUnwindSafe(|| engine.score_one(&mut ws, subject))) {
+                Ok(s) => claims.done(i, s),
+                Err(payload) => {
+                    claims.land(i);
+                    claims.quarantined.push((i, panic_cause(payload)));
+                    // The unwound workspace may be mid-update; retire it
+                    // (counters intact) and continue on a fresh one.
+                    retired.push(std::mem::replace(&mut ws, engine.workspace()));
                 }
             }
         }
-        local.workspaces.push(ws);
-        local
+        retired.push(ws);
+        (claims.scored, claims.quarantined, retired)
     });
     let mut out = ChunkedOutcome {
         scores,
         quarantined: Vec::new(),
         workspaces: Vec::new(),
     };
-    for part in partials {
-        for (i, s) in part.scored {
+    for (scored, quarantined, workspaces) in partials {
+        for (i, s) in scored {
             out.scores[i] = Some(s);
         }
-        out.quarantined.extend(part.quarantined);
-        out.workspaces.extend(part.workspaces);
+        out.quarantined.extend(quarantined);
+        out.workspaces.extend(workspaces);
     }
     out.quarantined.sort_by_key(|&(i, _)| i);
     out
@@ -235,14 +323,7 @@ pub fn engine_scores<E: AlignmentEngine>(
     threads: usize,
 ) -> (Vec<i32>, RunStats) {
     let chunk = auto_chunk(subjects.len(), threads.max(1));
-    let out = chunked_scores(
-        subjects.len(),
-        threads,
-        chunk,
-        None,
-        || engine.workspace(),
-        |ws, i| engine.score_one(ws, subjects[i]),
-    );
+    let out = chunked_scores(engine, subjects, threads, chunk, None);
     let rescored = out.workspaces.iter().map(|ws| engine.rescored(ws)).sum();
     let stats = RunStats {
         subjects: subjects.len(),
@@ -350,14 +431,7 @@ pub fn engine_search_bounded<E: AlignmentEngine>(
     };
 
     let chunk = auto_chunk(admitted, threads.max(1));
-    let out = chunked_scores(
-        admitted,
-        threads,
-        chunk,
-        wall,
-        || engine.workspace(),
-        |ws, i| engine.score_one(ws, subjects[i]),
-    );
+    let out = chunked_scores(engine, &subjects[..admitted], threads, chunk, wall);
 
     let mut results = TopK::new(keep);
     let mut scored = 0usize;
@@ -549,7 +623,7 @@ mod tests {
         // The satellite regression: chunked claiming must return
         // identical results for threads ∈ {1, 2, 8}, at several chunk
         // sizes including ones that don't divide the subject count.
-        let n = 103;
+        let n = 103usize;
         let expect: Vec<i32> = (0..n).map(|i| (1 + i * i % 97) as i32).collect();
         let lens: Vec<usize> = expect.iter().map(|&s| s as usize).collect();
         let owned = subjects_of_lengths(&lens);
@@ -557,14 +631,7 @@ mod tests {
         let engine = FlakyEngine { stride: usize::MAX };
         for chunk in [1usize, 3, 16, 64, 200] {
             for threads in [1usize, 2, 8] {
-                let out = chunked_scores(
-                    n,
-                    threads,
-                    chunk,
-                    None,
-                    || engine.workspace(),
-                    |ws, i| engine.score_one(ws, slices[i]),
-                );
+                let out = chunked_scores(&engine, &slices, threads, chunk, None);
                 let got: Vec<i32> = out.scores.into_iter().map(Option::unwrap).collect();
                 assert_eq!(got, expect, "chunk {chunk} threads {threads}");
             }
@@ -618,7 +685,9 @@ mod tests {
     fn zero_chunk_rejected() {
         // Only the shared loop takes a chunk size; the front ends pick
         // a positive one.
-        let _ = chunked_scores(3, 1, 0, None, || (), |_, _| 0);
+        let owned = subjects_of_lengths(&[1, 2, 3]);
+        let slices: Vec<&[sapa_bioseq::AminoAcid]> = owned.iter().map(|s| &s[..]).collect();
+        let _ = chunked_scores(&FlakyEngine { stride: usize::MAX }, &slices, 1, 0, None);
     }
 
     #[test]
@@ -804,6 +873,100 @@ mod tests {
         fn rescored(&self, ws: &usize) -> usize {
             *ws
         }
+    }
+
+    /// `FlakyEngine` that also scores in batches, the way a lane engine
+    /// does: it takes up to `width` subjects from its claims, then
+    /// reports them last to first, panicking inside the batch at a
+    /// faulting subject with the rest still in flight. The workspace
+    /// counts reported subjects and the most it held at once.
+    struct BatchedFlaky {
+        stride: usize,
+        width: usize,
+    }
+
+    impl AlignmentEngine for BatchedFlaky {
+        type Workspace = (usize, usize);
+
+        fn name(&self) -> &'static str {
+            "batched-flaky"
+        }
+
+        fn workspace(&self) -> (usize, usize) {
+            (0, 0)
+        }
+
+        fn score_one(&self, ws: &mut (usize, usize), subject: &[sapa_bioseq::AminoAcid]) -> i32 {
+            FlakyEngine {
+                stride: self.stride,
+            }
+            .score_one(&mut ws.0, subject)
+        }
+
+        fn rescored(&self, ws: &(usize, usize)) -> usize {
+            ws.0
+        }
+
+        fn batches(&self, _subject_count: usize) -> bool {
+            true
+        }
+
+        fn score_batch<'s>(&self, ws: &mut (usize, usize), claims: &mut Claims<'_, 's>) {
+            loop {
+                let held: Vec<_> = claims.by_ref().take(self.width).collect();
+                if held.is_empty() {
+                    return;
+                }
+                ws.1 = ws.1.max(held.len());
+                for &(i, subject) in held.iter().rev() {
+                    assert!(
+                        !subject.len().is_multiple_of(self.stride),
+                        "injected fault inside a batch"
+                    );
+                    ws.0 += 1;
+                    claims.done(i, subject.len() as i32);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batched_scans_quarantine_and_count_like_per_subject_scans() {
+        let lens: Vec<usize> = (1..=150).collect();
+        let owned = subjects_of_lengths(&lens);
+        let slices: Vec<&[sapa_bioseq::AminoAcid]> = owned.iter().map(|s| &s[..]).collect();
+        let (want, mut want_stats) = engine_scores(&FlakyEngine { stride: 7 }, &slices, 1);
+        want_stats.threads = 0;
+        assert_eq!(want_stats.quarantined.len(), 150 / 7);
+        for width in [1, 5, 40] {
+            for threads in [1, 2, 8] {
+                let engine = BatchedFlaky { stride: 7, width };
+                let (got, mut stats) = engine_scores(&engine, &slices, threads);
+                stats.threads = 0;
+                assert_eq!(got, want, "width {width} threads {threads}");
+                // Same quarantine list and causes, and every reported
+                // subject counted once: the retired workspaces hold the
+                // subjects their batch reported, the fresh ones the rest.
+                assert_eq!(stats, want_stats, "width {width} threads {threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn batches_take_subjects_across_claim_boundaries() {
+        // One worker claims 16 subjects at a time; a batch of 40 holds
+        // subjects from three claims at once.
+        let owned = subjects_of_lengths(&(1..=100).collect::<Vec<_>>());
+        let slices: Vec<&[sapa_bioseq::AminoAcid]> = owned.iter().map(|s| &s[..]).collect();
+        let engine = BatchedFlaky {
+            stride: usize::MAX,
+            width: 40,
+        };
+        let out = chunked_scores(&engine, &slices, 1, 16, None);
+        assert_eq!(out.workspaces.len(), 1);
+        assert_eq!(out.workspaces[0], (100, 40));
+        let scores: Vec<i32> = out.scores.into_iter().map(Option::unwrap).collect();
+        assert_eq!(scores, (1..=100).collect::<Vec<i32>>());
     }
 
     fn subjects_of_lengths(lens: &[usize]) -> Vec<Vec<sapa_bioseq::AminoAcid>> {

@@ -59,9 +59,14 @@
 //! Wider registers pay off only on long queries: per-column work that
 //! does not grow with the query, and a lane shift that has to cross the
 //! two 128-bit halves, make 256 bits slower than SSE2 below a few
-//! stripes. [`use_256_bit`] is the one rule that picks the width of
-//! `Engine::Striped` and of the daemon's striped path from the query
-//! length; see [`WIDE_MIN_STRIPES`] for the measured crossover.
+//! stripes; see [`WIDE_MIN_STRIPES`] for the measured crossover.
+//! Shorter queries run best with the width across subjects instead:
+//! [`lanes`] keeps one subject in each byte lane of an SSE2 register
+//! (emulated lanes off x86_64), with the same byte pass, guard and
+//! 16-bit rescore, so its scores and `None` decisions equal the striped
+//! byte kernel's. [`kernel`] is the one rule that picks lanes, 128-bit
+//! or 256-bit striped for `Engine::Striped` and the daemon's striped
+//! path, from the query length, the CPU and the number of subjects.
 //!
 //! Every variant is score-identical to the scalar Gotoh oracle
 //! ([`crate::sw::score`]), and the SSE2 and AVX2 lanes are bit-identical
@@ -94,6 +99,7 @@ use sapa_vsimd::{ByteVector, Lanes, Vector};
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+pub mod lanes;
 
 /// The shortest query, in stripes of 32 residues (one byte segment of
 /// the 256-bit layout), that [`use_256_bit`] sends to the AVX2 kernels.
@@ -122,6 +128,60 @@ pub const WIDE_MIN_STRIPES: usize = 5;
 /// ```
 pub fn use_256_bit(query_len: usize, avx2: bool) -> bool {
     avx2 && query_len >= WIDE_MIN_STRIPES * 32
+}
+
+/// The fewest subjects a scan needs before [`kernel`] sends a short
+/// query to the lane kernel.
+///
+/// A lane scan pays for all 16 lanes whether they are busy or not, and
+/// they drain while the last subjects finish, so a scan too small to
+/// keep a register filled runs faster striped. Measured against the
+/// 128-bit striped kernel on subjects drawn from the daemon's corpus
+/// (DESIGN §5.9), lanes break even at 48–64 subjects and win 1.3× at
+/// 128; at 32 they still lose 10–20%.
+pub const LANES_MIN_SUBJECTS: usize = 64;
+
+/// The kernel a striped search runs on (see [`kernel`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Kernel {
+    /// Inter-sequence byte lanes ([`lanes`]): one subject per lane of
+    /// an SSE2 register, 16-bit striped rescore on overflow.
+    Lanes,
+    /// Striped, 128 bits: `StripedEngine::<16, 8>`.
+    Striped128,
+    /// Striped, 256 bits on AVX2: `StripedEngine::<32, 16>`.
+    Striped256,
+}
+
+/// The one rule that picks a striped search's kernel from the query
+/// length, the CPU (`avx2`, pass [`avx2_detected`]) and the number of
+/// subjects the scan scores:
+///
+/// * queries of [`WIDE_MIN_STRIPES`] 32-residue stripes or more run
+///   striped, on 256 bits when [`use_256_bit`] says so;
+/// * shorter queries run on the lane kernel when the scan has at least
+///   [`LANES_MIN_SUBJECTS`] subjects, and striped on 128 bits when it
+///   has fewer.
+///
+/// The kernel changes no score, byte-pass decision or rescore count,
+/// only the time a scan takes.
+///
+/// ```
+/// use sapa_align::striped::{kernel, Kernel};
+///
+/// assert_eq!(kernel(40, true, 400), Kernel::Lanes);
+/// assert_eq!(kernel(40, true, 3), Kernel::Striped128); // too few subjects
+/// assert_eq!(kernel(567, true, 400), Kernel::Striped256);
+/// assert_eq!(kernel(567, false, 400), Kernel::Striped128);
+/// ```
+pub fn kernel(query_len: usize, avx2: bool, subjects: usize) -> Kernel {
+    if use_256_bit(query_len, avx2) {
+        Kernel::Striped256
+    } else if query_len < WIDE_MIN_STRIPES * 32 && subjects >= LANES_MIN_SUBJECTS {
+        Kernel::Lanes
+    } else {
+        Kernel::Striped128
+    }
 }
 
 /// Whether this CPU runs AVX2, detected once per process by the
@@ -445,15 +505,7 @@ pub fn score_bytes_with_lanes<V: Lanes<Elem = u8>, const L: usize>(
     if profile.query_len() == 0 || b.is_empty() {
         return Some(0);
     }
-    if !profile.has_bytes() {
-        return None; // matrix range too wide for biased u8
-    }
-    // Saturation guard: while every H stays below this, no saturating
-    // add in the next column can clip (H + bias + max_score < 255).
-    let guard = 255 - profile.bias() - profile.max_score();
-    if guard <= 0 {
-        return None;
-    }
+    let guard = byte_guard(profile)?;
     // Any lane above this has reached the guard.
     let over = V::splat((guard - 1).min(255) as u8);
     let segs = profile.byte_segments();
@@ -505,6 +557,16 @@ pub fn score_bytes_with_lanes<V: Lanes<Elem = u8>, const L: usize>(
     }
 
     Some(i32::from(vmax.horizontal_max()))
+}
+
+/// The byte pass's saturation guard: while every H stays below it, no
+/// saturating add in the next column can clip (H + bias + max_score <
+/// 255). `None` when the byte pass cannot run — the matrix range is too
+/// wide for biased `u8`, or leaves no room below the ceiling — and every
+/// non-empty subject goes to the 16-bit kernel.
+pub(crate) fn byte_guard(profile: &QueryProfile) -> Option<i32> {
+    let guard = 255 - profile.bias() - profile.max_score();
+    (profile.has_bytes() && guard > 0).then_some(guard)
 }
 
 /// Adaptive-precision striped search step: byte pass first (double the
@@ -862,6 +924,29 @@ mod tests {
             }
             for long in [threshold, 222, 567, 4096] {
                 assert_eq!(use_256_bit(long, avx2), avx2, "{long} residues");
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_rule_sends_big_scans_of_short_queries_to_lanes() {
+        let short = WIDE_MIN_STRIPES * 32 - 1;
+        for avx2 in [false, true] {
+            for q in [0, 1, 20, 60, short] {
+                assert_eq!(kernel(q, avx2, LANES_MIN_SUBJECTS), Kernel::Lanes, "{q}");
+                assert_eq!(kernel(q, avx2, 400), Kernel::Lanes, "{q}");
+                let few = kernel(q, avx2, LANES_MIN_SUBJECTS - 1);
+                assert_eq!(few, Kernel::Striped128, "{q}");
+            }
+            let wide = if avx2 {
+                Kernel::Striped256
+            } else {
+                Kernel::Striped128
+            };
+            for q in [short + 1, 567] {
+                for n in [1, 400] {
+                    assert_eq!(kernel(q, avx2, n), wide, "{q} residues, {n} subjects");
+                }
             }
         }
     }

@@ -1048,3 +1048,217 @@ fn striped_engine_matches_an_emulated_lanes_engine() {
         }
     }
 }
+
+/// Hands out `subjects` in order to a lane scan and records every
+/// report, asserting that each subject is reported exactly once.
+struct ListFeed<'s> {
+    subjects: &'s [Vec<AminoAcid>],
+    next: usize,
+    reports: Vec<Option<Option<i32>>>,
+}
+
+impl<'s> ListFeed<'s> {
+    fn new(subjects: &'s [Vec<AminoAcid>]) -> Self {
+        ListFeed {
+            subjects,
+            next: 0,
+            reports: vec![None; subjects.len()],
+        }
+    }
+
+    /// Every subject's byte-pass result, in subject order.
+    fn results(self) -> Vec<Option<i32>> {
+        self.reports
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| r.unwrap_or_else(|| panic!("subject {i} never reported")))
+            .collect()
+    }
+}
+
+impl<'s> striped::lanes::LaneFeed<'s> for ListFeed<'s> {
+    fn next(&mut self) -> Option<(usize, &'s [AminoAcid])> {
+        let i = self.next;
+        let s = self.subjects.get(i)?;
+        self.next += 1;
+        Some((i, s))
+    }
+
+    fn done(&mut self, index: usize, subject: &'s [AminoAcid], score: Option<i32>) {
+        assert_eq!(subject, &self.subjects[index][..], "subject {index}");
+        assert!(self.reports[index].is_none(), "subject {index} twice");
+        self.reports[index] = Some(score);
+    }
+}
+
+/// The lane kernel on the production registers and on the emulated
+/// `ByteVector<16>`, checked against each other, the striped byte pass
+/// and the scalar oracle. Returns every subject's result and how many
+/// subjects the drained scan handed back to the striped kernel.
+fn lane_results(
+    profile: &QueryProfile,
+    query: &[AminoAcid],
+    subjects: &[Vec<AminoAcid>],
+    m: &SubstitutionMatrix,
+    g: GapPenalties,
+    label: &str,
+) -> (Vec<Option<i32>>, usize) {
+    let mut ws = striped::lanes::LaneWorkspace::new();
+    let mut bws = striped::ByteWorkspace::<16>::new();
+    let mut feed = ListFeed::new(subjects);
+    let tail = striped::lanes::score_lanes(profile, g, &mut ws, &mut feed);
+    let handed_back = tail.len();
+    assert!(handed_back <= striped::lanes::LANES, "{label}");
+    // The subjects a drained scan hands back go to the striped byte
+    // pass, as `LaneEngine` sends them.
+    for (i, b) in tail {
+        let byte = striped::score_bytes_with_profile::<16>(profile, b, g, &mut bws);
+        striped::lanes::LaneFeed::done(&mut feed, i, b, byte);
+    }
+    let got = feed.results();
+    let mut feed = ListFeed::new(subjects);
+    let tail_emu =
+        striped::lanes::score_lanes_with::<ByteVector<16>>(profile, g, &mut ws, &mut feed);
+    for (i, b) in tail_emu {
+        let byte = striped::score_bytes_with_profile::<16>(profile, b, g, &mut bws);
+        striped::lanes::LaneFeed::done(&mut feed, i, b, byte);
+    }
+    assert_eq!(got, feed.results(), "{label}: emulated twin");
+    for (i, (b, &lane)) in subjects.iter().zip(&got).enumerate() {
+        let byte = striped::score_bytes_with_profile::<16>(profile, b, g, &mut bws);
+        assert_eq!(
+            lane, byte,
+            "{label}: subject {i} against the striped byte pass"
+        );
+        if let Some(s) = lane {
+            assert_eq!(
+                s,
+                sw::score(query, b, m, g),
+                "{label}: subject {i} against scalar"
+            );
+        }
+    }
+    (got, handed_back)
+}
+
+/// The lane kernel gives every subject the striped byte pass's result
+/// — the exact score, or `None` exactly where the striped kernel gives
+/// up — for queries of 0–159 residues on and beside the 16-position
+/// block boundaries, batches of 1–40 subjects (partial registers, lane
+/// refill), empty, one-residue and mixed-length subjects, and both the
+/// paper's and cheap gaps.
+#[test]
+fn lane_kernel_matches_striped_byte_pass_and_scalar() {
+    let m = SubstitutionMatrix::blosum62();
+    let mut rng = Xoshiro256::new(0x1A4E);
+    let qlens = [
+        0, 1, 2, 15, 16, 17, 31, 32, 33, 40, 47, 48, 49, 63, 64, 65, 95, 96, 97, 127, 128, 129,
+        143, 144, 145, 158, 159,
+    ];
+    let batches = [1usize, 2, 15, 16, 17, 31, 32, 33, 40];
+    let (mut overflowed, mut answered, mut handed_back) = (0, 0, 0);
+    for (case, &qlen) in qlens.iter().enumerate() {
+        let query: Vec<AminoAcid> = (0..qlen).map(|_| residue(&mut rng)).collect();
+        let profile = QueryProfile::build(&query, &m, 8);
+        let batch = batches[case % batches.len()];
+        let mut subjects: Vec<Vec<AminoAcid>> = (0..batch)
+            .map(|k| match k % 5 {
+                0 => Vec::new(),
+                1 => vec![residue(&mut rng)],
+                2 => gappy_protein(&mut rng, 120),
+                _ => protein(&mut rng, 200),
+            })
+            .collect();
+        // A copy of the query beside the decoys: from ~45 residues on
+        // its self-score reaches the guard.
+        subjects.push(query.clone());
+        for g in [GapPenalties::paper(), GapPenalties::new(2, 1)] {
+            let (got, back) =
+                lane_results(&profile, &query, &subjects, &m, g, &format!("case {case}"));
+            overflowed += got.iter().filter(|s| s.is_none()).count();
+            answered += got.iter().filter(|s| s.is_some()).count();
+            handed_back += back;
+        }
+    }
+    assert!(
+        overflowed > 10 && answered > 400,
+        "{overflowed} / {answered}"
+    );
+    // Most subjects ran in the lanes, not in the drained tail.
+    assert!(
+        handed_back * 3 < overflowed + answered,
+        "{handed_back} handed back"
+    );
+}
+
+/// One lane saturating while its neighbours keep going: the saturating
+/// subject is reported `None` as soon as it reaches the guard, its lane
+/// takes the next subject, and the subjects beside and after it keep
+/// their exact scores.
+#[test]
+fn a_saturating_lane_leaves_its_neighbours_exact() {
+    let m = SubstitutionMatrix::blosum62();
+    let mut rng = Xoshiro256::new(0x5A7E);
+    let query: Vec<AminoAcid> = (0..60).map(|_| residue(&mut rng)).collect();
+    let profile = QueryProfile::build(&query, &m, 8);
+    let g = GapPenalties::paper();
+    let mut subjects: Vec<Vec<AminoAcid>> = (0..37).map(|_| protein(&mut rng, 150)).collect();
+    // Long subjects around the hot one keep its neighbours busy after
+    // it saturates.
+    subjects[3] = [query.clone(), query.clone()].concat();
+    subjects[2] = (0..400).map(|_| residue(&mut rng)).collect();
+    let (got, _) = lane_results(&profile, &query, &subjects, &m, g, "saturating lane");
+    assert_eq!(got[3], None);
+    assert_eq!(got.iter().filter(|s| s.is_none()).count(), 1);
+}
+
+/// Through the parallel pipeline, `LaneEngine` gives the scores and
+/// rescore counts of `StripedEngine::<16, 8>` at any thread count, on
+/// either side of the subject count the kernel rule needs; a matrix
+/// without a byte layout keeps the striped path, where every non-empty
+/// subject is rescored.
+#[test]
+fn lane_engine_matches_striped_engine_through_the_pipeline() {
+    use sapa_align::engine::{AlignmentEngine, LaneEngine, StripedEngine};
+    use sapa_align::parallel::engine_scores;
+
+    let mut rng = Xoshiro256::new(0x1A4F);
+    for (case, (matrix, qlen, n)) in [
+        (SubstitutionMatrix::blosum62(), 60, 200),
+        (
+            SubstitutionMatrix::blosum62(),
+            150,
+            striped::LANES_MIN_SUBJECTS,
+        ),
+        (
+            SubstitutionMatrix::blosum62(),
+            64,
+            striped::LANES_MIN_SUBJECTS - 1,
+        ),
+        (SubstitutionMatrix::uniform(120, -120), 30, 64),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let query: Vec<AminoAcid> = (0..qlen).map(|_| residue(&mut rng)).collect();
+        let mut owned: Vec<Vec<AminoAcid>> = (0..n).map(|_| protein(&mut rng, 250)).collect();
+        owned[n / 2] = query.clone();
+        owned[1] = Vec::new();
+        let subjects: Vec<&[AminoAcid]> = owned.iter().map(|s| &s[..]).collect();
+        let g = GapPenalties::paper();
+        let lanes = LaneEngine::from_query(&query, &matrix, g);
+        let striped = StripedEngine::<16, 8>::from_query(&query, &matrix, g);
+        let expect_batch = case < 2;
+        assert_eq!(lanes.batches(n), expect_batch, "case {case}");
+        let (want, want_stats) = engine_scores(&striped, &subjects, 1);
+        assert!(want_stats.rescored > 0, "case {case}: nothing overflowed");
+        for threads in [1, 2, 8] {
+            let (got, stats) = engine_scores(&lanes, &subjects, threads);
+            assert_eq!(got, want, "case {case} threads {threads}");
+            assert_eq!(
+                stats.rescored, want_stats.rescored,
+                "case {case} threads {threads}"
+            );
+        }
+    }
+}

@@ -80,9 +80,9 @@ fn other_kernels(c: &mut Criterion) {
 /// through `parallel::engine_scores`, serially, with its query context
 /// (profile / word index / k-tuple table) built once up front — the
 /// amortized serving configuration. Each engine is the one
-/// [`Engine::dispatch`] builds, so the `striped` row runs at the width
-/// `striped::use_256_bit` picks for the 222-residue query: 256-bit AVX2
-/// lanes on a CPU that has them.
+/// [`Engine::dispatch`] builds, so the `striped` row runs on the kernel
+/// `striped::kernel` picks for the 222-residue query: striped on 256-bit
+/// AVX2 lanes on a CPU that has them.
 fn engines(c: &mut Criterion) {
     let matrix = SubstitutionMatrix::blosum62();
     let query = bench_query();
@@ -168,8 +168,9 @@ fn write_json(c: &Criterion, query_len: usize, residues: u64) {
             format!("{:.1}", residues as f64 / r.median_ns * 1e9)
         });
     let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let host = sapa_bench::host_json();
     let json = format!(
-        "{{\n  \"bench\": \"engines\",\n  \"query\": \"GST-222aa\",\n  \"query_len\": {query_len},\n  \"db_residues\": {residues},\n  \"host_cpus\": {cpus},\n  \"results\": [\n{entries}\n  ],\n  \"derived\": {{\n    \"striped_residues_per_sec\": {striped_res_per_sec},\n    \"speedup_striped_vs_sw\": {},\n    \"speedup_striped_vs_vmx128\": {},\n    \"speedup_vmx256_vs_vmx128\": {},\n    \"speedup_sw_vs_sw_lazy\": {}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"engines\",\n  \"query\": \"GST-222aa\",\n  \"query_len\": {query_len},\n  \"db_residues\": {residues},\n  \"host_cpus\": {cpus},\n  \"host\": {host},\n  \"results\": [\n{entries}\n  ],\n  \"derived\": {{\n    \"striped_residues_per_sec\": {striped_res_per_sec},\n    \"speedup_striped_vs_sw\": {},\n    \"speedup_striped_vs_vmx128\": {},\n    \"speedup_vmx256_vs_vmx128\": {},\n    \"speedup_sw_vs_sw_lazy\": {}\n  }}\n}}\n",
         speedup("striped", "sw"),
         speedup("striped", "vmx128"),
         speedup("vmx256", "vmx128"),

@@ -23,26 +23,33 @@
 //! * `striped_scan_200seqs` — a 200-sequence database scan: per-subject
 //!   profile rebuild vs one cached profile, serial vs the chunked
 //!   parallel pipeline (driven through the unified [`StripedEngine`] +
-//!   `parallel::engine_scores` API).
+//!   `parallel::engine_scores` API);
+//! * `striped_short_query` — the daemon's short-query scan: a 40-residue
+//!   window over the daemon's 400-subject corpus, on the inter-sequence
+//!   lane kernel ([`LaneEngine`], the engine `Engine::Striped` runs for
+//!   it) and on `StripedEngine::<16, 8>`, in the same run.
 //!
 //! Outside `--test` mode the run writes `BENCH_striped.json` at the
-//! repository root with every median plus derived ratios, including
-//! `sse2_vs_emulated_bytes`/`sse2_vs_emulated_words` (emulated median
-//! over SSE2 median, same run), `avx2_vs_emulated_bytes` and
-//! `avx2_vs_sse2_bytes` (the long-query trio; `null` on a CPU without
-//! AVX2, where the 256-bit row runs emulated lanes) and
-//! `traceback_overhead` (full three-pass alignment vs score-only).
+//! repository root with the host fingerprint, every median, and derived
+//! ratios, including `sse2_vs_emulated_bytes`/`sse2_vs_emulated_words`
+//! (emulated median over SSE2 median, same run),
+//! `avx2_vs_emulated_bytes` and `avx2_vs_sse2_bytes` (the long-query
+//! trio; `null` on a CPU without AVX2, where the 256-bit row runs
+//! emulated lanes), `lanes_vs_striped_short` (striped median over lane
+//! median, same run) and `traceback_overhead` (full three-pass
+//! alignment vs score-only).
 //!
 //! `--smoke` runs a cut-down variant for CI: fewer samples, no scan
 //! group, output to `BENCH_striped_smoke.json` (gitignored) — enough
-//! for the CI gates on the same-run SSE2/emulated and AVX2/emulated
-//! byte-kernel ratios without minutes of benchmarking.
+//! for the CI gates on the same-run SSE2/emulated, AVX2/emulated and
+//! lanes/striped ratios without minutes of benchmarking.
 
 use sapa_bench::harness::{Criterion, Throughput};
 use sapa_bench::{bench_db, bench_query, slices};
-use sapa_core::align::engine::StripedEngine;
+use sapa_core::align::engine::{LaneEngine, StripedEngine};
 use sapa_core::align::striped::{self, ByteWorkspace, Workspace};
 use sapa_core::align::{parallel, simd_sw, sw, traceback};
+use sapa_core::bioseq::db::DatabaseBuilder;
 use sapa_core::bioseq::matrix::GapPenalties;
 use sapa_core::bioseq::queries::QuerySet;
 use sapa_core::bioseq::{QueryProfile, SubstitutionMatrix};
@@ -234,6 +241,39 @@ fn scan(c: &mut Criterion) {
     group.finish();
 }
 
+/// A 40-residue window of the default query scanning the daemon's
+/// default corpus, on the lane kernel and on the 128-bit striped kernel,
+/// both through `parallel::engine_scores` with a cached profile.
+fn short_query(c: &mut Criterion) {
+    let matrix = SubstitutionMatrix::blosum62();
+    let gaps = GapPenalties::paper();
+    let cfg = sapa_service::ServiceConfig::default();
+    let template = bench_query();
+    let corpus = DatabaseBuilder::new()
+        .seed(cfg.db_seed)
+        .sequences(cfg.db_seqs)
+        .median_length(cfg.db_median_len)
+        .homolog_template(template.clone())
+        .homolog_fraction(cfg.db_homolog_fraction)
+        .build();
+    let subjects: Vec<_> = corpus.iter().map(|s| s.residues()).collect();
+    let window = &template.residues()[90..130];
+    let residues: u64 = subjects.iter().map(|s| s.len() as u64).sum();
+    let profile = QueryProfile::build_shared(window, &matrix, 8);
+    let lanes = LaneEngine::with_profile(profile.clone(), gaps);
+    let striped = StripedEngine::<16, 8>::with_profile(profile, gaps);
+
+    let mut group = c.benchmark_group("striped_short_query");
+    group.throughput(Throughput::Elements(window.len() as u64 * residues));
+    group.bench_function("lanes", |b| {
+        b.iter(|| parallel::engine_scores(&lanes, &subjects, 1))
+    });
+    group.bench_function("striped_sse2", |b| {
+        b.iter(|| parallel::engine_scores(&striped, &subjects, 1))
+    });
+    group.finish();
+}
+
 fn write_json(c: &Criterion, path: &str) {
     let mut entries = String::new();
     for (i, r) in c.results().iter().enumerate() {
@@ -268,8 +308,9 @@ fn write_json(c: &Criterion, path: &str) {
         }
     };
     let cpus = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let host = sapa_bench::host_json();
     let json = format!(
-        "{{\n  \"bench\": \"striped\",\n  \"query\": \"GST-222aa\",\n  \"host_cpus\": {cpus},\n  \"results\": [\n{entries}\n  ],\n  \"derived\": {{\n    \"speedup_striped_w16_vs_anti_diagonal_vmx128\": {},\n    \"speedup_striped_w16_vs_anti_diagonal_vmx256\": {},\n    \"speedup_striped_adaptive_vs_anti_diagonal_vmx128\": {},\n    \"speedup_striped_w16_vs_scalar_vmx128\": {},\n    \"sse2_vs_emulated_bytes\": {},\n    \"sse2_vs_emulated_words\": {},\n    \"avx2_vs_emulated_bytes\": {},\n    \"avx2_vs_sse2_bytes\": {},\n    \"traceback_overhead\": {}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"striped\",\n  \"query\": \"GST-222aa\",\n  \"host_cpus\": {cpus},\n  \"host\": {host},\n  \"results\": [\n{entries}\n  ],\n  \"derived\": {{\n    \"speedup_striped_w16_vs_anti_diagonal_vmx128\": {},\n    \"speedup_striped_w16_vs_anti_diagonal_vmx256\": {},\n    \"speedup_striped_adaptive_vs_anti_diagonal_vmx128\": {},\n    \"speedup_striped_w16_vs_scalar_vmx128\": {},\n    \"sse2_vs_emulated_bytes\": {},\n    \"sse2_vs_emulated_words\": {},\n    \"avx2_vs_emulated_bytes\": {},\n    \"avx2_vs_sse2_bytes\": {},\n    \"lanes_vs_striped_short\": {},\n    \"traceback_overhead\": {}\n  }}\n}}\n",
         speedup("striped_w16_vmx128", "anti_diagonal_vmx128"),
         speedup("striped_w16_vmx256", "anti_diagonal_vmx256"),
         speedup("striped_b8_adaptive_vmx128", "anti_diagonal_vmx128"),
@@ -278,6 +319,7 @@ fn write_json(c: &Criterion, path: &str) {
         speedup("striped_w16_vmx128", "striped_w16_vmx128_emulated"),
         avx2("striped_b8_vmx256_emulated"),
         avx2("striped_b8_vmx128"),
+        ratio("striped_short_query", "lanes", "striped_sse2"),
         ratio("striped_traceback", "score_only", "full_align"),
     );
     match std::fs::write(path, json) {
@@ -293,6 +335,7 @@ fn main() {
     kernels(&mut c);
     long_query(&mut c);
     traceback_cost(&mut c);
+    short_query(&mut c);
     if !smoke {
         scan(&mut c);
     }

@@ -7,6 +7,12 @@
 
 pub mod harness;
 
+/// The host fingerprint perfbench records with its results; the file is
+/// shared, so the suite keeps one copy of that code.
+#[allow(dead_code)]
+#[path = "../../../perfbench/src/host.rs"]
+mod host;
+
 use sapa_core::bioseq::db::DatabaseBuilder;
 use sapa_core::bioseq::queries::QuerySet;
 use sapa_core::bioseq::{AminoAcid, Sequence};
@@ -30,6 +36,22 @@ pub fn bench_db(n: usize) -> Vec<Sequence> {
         .to_vec()
 }
 
+/// The host fingerprint as a JSON object — CPU model, SIMD flags,
+/// `nproc`, compiled target features, RUSTFLAGS and build profile — for
+/// the `"host"` field of every `BENCH_*.json`.
+pub fn host_json() -> String {
+    let pairs: Vec<String> = host::fingerprint()
+        .into_iter()
+        .map(|(k, v)| {
+            format!(
+                "\"{k}\": \"{}\"",
+                v.replace('\\', "\\\\").replace('"', "\\\"")
+            )
+        })
+        .collect();
+    format!("{{{}}}", pairs.join(", "))
+}
+
 /// Residue slices of a database (the form the search APIs take).
 pub fn slices(db: &[Sequence]) -> Vec<&[AminoAcid]> {
     db.iter().map(|s| s.residues()).collect()
@@ -38,6 +60,13 @@ pub fn slices(db: &[Sequence]) -> Vec<&[AminoAcid]> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn host_fingerprint_is_a_json_object() {
+        let host = host_json();
+        assert!(host.starts_with("{\"cpu_model\": "), "{host}");
+        assert!(host.contains("\"nproc\": \""), "{host}");
+    }
 
     #[test]
     fn fixtures_are_deterministic() {

@@ -23,6 +23,16 @@
 //! saturation and falls back to words). The byte layout is `None` when
 //! the matrix's dynamic range cannot fit the biased-u8 scheme.
 //!
+//! A third layout serves the inter-sequence kernel, which puts one
+//! *subject* in each lane instead of one query stripe: the same biased
+//! bytes in query order, one row of [`QueryProfile::seq_stride`] bytes
+//! per residue, then one all-zero row for lanes that hold no subject
+//! (see [`QueryProfile::seq_bytes`]):
+//!
+//! ```text
+//! seq(c) = [ S[c][0], S[c][1], … , S[c][m-1], 0 … ]     S = score + bias
+//! ```
+//!
 //! Profiles are immutable and `Sync`; a database search builds one and
 //! shares it across every worker thread, amortizing construction over
 //! the whole scan. [`ProfileCache`] additionally memoizes profiles
@@ -56,7 +66,16 @@ pub struct QueryProfile {
     /// Biased byte layout, same indexing; `None` if the matrix's range
     /// does not fit the u8 scheme.
     bytes: Option<Vec<u8>>,
+    /// The same biased bytes in query order, `[residue][position]` with
+    /// row stride `seq_stride`, plus one all-zero row; `None` with
+    /// `bytes`.
+    seq_bytes: Option<Vec<u8>>,
     bias: i32,
+}
+
+/// Rounds a sequential row up to whole 16-byte loads, at least one.
+fn seq_stride(query_len: usize) -> usize {
+    query_len.div_ceil(16).max(1) * 16
 }
 
 impl QueryProfile {
@@ -114,6 +133,17 @@ impl QueryProfile {
             }
             bytes
         });
+        let stride = seq_stride(m);
+        let seq_bytes = byte_ok.then(|| {
+            let mut seq = vec![0u8; (n_res + 1) * stride];
+            for c in AminoAcid::ALL.iter() {
+                let row = &mut seq[c.index() * stride..][..m];
+                for (cell, &q) in row.iter_mut().zip(query) {
+                    *cell = (matrix.score(q, *c) + bias) as u8;
+                }
+            }
+            seq
+        });
 
         QueryProfile {
             query_len: m,
@@ -125,6 +155,7 @@ impl QueryProfile {
             byte_lanes,
             byte_segments,
             bytes,
+            seq_bytes,
             bias,
         }
     }
@@ -197,7 +228,9 @@ impl QueryProfile {
 
     /// Bytes of score layout the profile holds on the heap.
     pub(crate) fn heap_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<i16>() + self.bytes.as_ref().map_or(0, Vec::len)
+        self.words.len() * std::mem::size_of::<i16>()
+            + self.bytes.as_ref().map_or(0, Vec::len)
+            + self.seq_bytes.as_ref().map_or(0, Vec::len)
     }
 
     /// The score bias added to every byte-layout entry.
@@ -215,14 +248,32 @@ impl QueryProfile {
         let start = c.index() * stride;
         Some(&bytes[start..start + stride])
     }
+
+    /// Bytes per row of the sequential byte layout: the query length
+    /// rounded up to a multiple of 16, at least 16.
+    #[inline]
+    pub fn seq_stride(&self) -> usize {
+        seq_stride(self.query_len)
+    }
+
+    /// The sequential biased byte layout, or `None` when the byte
+    /// layout is infeasible for this matrix: the row of residue `c`
+    /// starts at `c.index() * seq_stride()` and holds `score(query[i],
+    /// c) + bias` at position `i`, zero past the query end. One
+    /// all-zero row follows the last residue's, at
+    /// `AminoAcid::COUNT * seq_stride()`.
+    #[inline]
+    pub fn seq_bytes(&self) -> Option<&[u8]> {
+        self.seq_bytes.as_deref()
+    }
 }
 
 /// (query residue indices, matrix score table, word lane count).
 type ProfileKey = (Vec<u8>, [[i8; AminoAcid::COUNT]; AminoAcid::COUNT], usize);
 
 /// Bytes of profiles, keys included, that a [`ProfileCache`] keeps
-/// before it evicts the least recently used: 16 MiB, about 50 profiles
-/// of a 4,096-residue query (~300 KB each) or thousands of 20–60-residue
+/// before it evicts the least recently used: 16 MiB, about 40 profiles
+/// of a 4,096-residue query (~400 KB each) or thousands of 20–60-residue
 /// ones (a few KB each).
 pub const PROFILE_CACHE_BYTES: usize = 16 << 20;
 
@@ -371,6 +422,25 @@ mod tests {
     }
 
     #[test]
+    fn sequential_layout_is_biased_in_query_order() {
+        let m = SubstitutionMatrix::blosum62();
+        let q = seq("HEAGAWGHEEPAWHEAE");
+        let p = QueryProfile::build(&q, &m, 8);
+        assert_eq!(p.seq_stride(), 32);
+        let seq = p.seq_bytes().unwrap();
+        assert_eq!(seq.len(), (AminoAcid::COUNT + 1) * 32);
+        for c in AminoAcid::ALL {
+            let row = &seq[c.index() * 32..][..32];
+            for (i, &cell) in row.iter().enumerate() {
+                let expect = q.get(i).map_or(0, |&a| (m.score(a, c) + p.bias()) as u8);
+                assert_eq!(cell, expect, "{c} at {i}");
+            }
+        }
+        assert!(seq[AminoAcid::COUNT * 32..].iter().all(|&b| b == 0));
+        assert_eq!(QueryProfile::build(&[], &m, 8).seq_stride(), 16);
+    }
+
+    #[test]
     fn wide_matrix_disables_byte_layout() {
         // A huge dynamic range cannot fit the biased-u8 scheme.
         let m = SubstitutionMatrix::uniform(120, -120);
@@ -378,6 +448,7 @@ mod tests {
         let p = QueryProfile::build(&q, &m, 8);
         assert!(!p.has_bytes());
         assert!(p.byte_row(AminoAcid::Ala).is_none());
+        assert!(p.seq_bytes().is_none());
     }
 
     #[test]
@@ -423,7 +494,7 @@ mod tests {
 
     #[test]
     fn cache_stays_within_its_budget_and_evicts_least_recently_used() {
-        // Queries at the daemon's 4,096-residue limit: ~300 KB each, so
+        // Queries at the daemon's 4,096-residue limit: ~400 KB each, so
         // 60 of them overfill the budget.
         let m = SubstitutionMatrix::blosum62();
         let queries = random_queries(60, 4096, 7);
@@ -459,8 +530,8 @@ mod tests {
 
     #[test]
     fn a_profile_larger_than_the_budget_is_built_but_not_kept() {
-        // 24 symbols × 3 bytes per residue: this query's profile alone
-        // exceeds the budget.
+        // 24 symbols × 4 bytes per residue in three layouts: this
+        // query's profile alone exceeds the budget.
         let m = SubstitutionMatrix::blosum62();
         let huge = random_queries(1, PROFILE_CACHE_BYTES / 72 + 1, 9).remove(0);
         let small = seq("HEAGAWGHEE");

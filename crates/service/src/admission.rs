@@ -2,7 +2,8 @@
 //!
 //! Every search is priced *before* it runs, in the same deterministic
 //! unit the engine layer budgets with: DP cells, via
-//! [`Engine::scan_cost`] over the corpus length table. The gate keeps
+//! [`Engine::scan_cost`] over the corpus length table ([`price`]), which
+//! a daemon sums once at start-up ([`CorpusPrice`]). The gate keeps
 //! the sum of queued plus in-flight cost under a fixed budget, so an
 //! overload turns into fast typed `overloaded` rejections instead of
 //! unbounded queueing and collapse. Two consequences worth stating:
@@ -29,6 +30,38 @@ pub fn price(
 ) -> u64 {
     let full = engine.scan_cost(query_len, subject_lens);
     deadline_cells.map_or(full, |b| full.min(b)).max(1)
+}
+
+/// [`price`] for one fixed corpus, in constant time: the length table
+/// is summed once, when the corpus is built.
+///
+/// Every engine's [`Engine::cost_len`] is its cost for a one-residue
+/// subject times `max(len, 1)`, so a scan costs that unit cost times
+/// Σ max(len, 1) — the same saturating total [`price`] adds up subject
+/// by subject.
+#[derive(Debug, Clone, Copy)]
+pub struct CorpusPrice {
+    /// Σ max(len, 1) over the corpus.
+    padded_residues: u64,
+}
+
+impl CorpusPrice {
+    /// Sums the corpus's subject lengths.
+    pub fn new(subject_lens: impl IntoIterator<Item = usize>) -> Self {
+        CorpusPrice {
+            padded_residues: subject_lens
+                .into_iter()
+                .fold(0u64, |acc, l| acc.saturating_add(l.max(1) as u64)),
+        }
+    }
+
+    /// [`price`] of one search over the corpus.
+    pub fn price(&self, engine: Engine, query_len: usize, deadline_cells: Option<u64>) -> u64 {
+        let full = engine
+            .cost_len(query_len, 1)
+            .saturating_mul(self.padded_residues);
+        deadline_cells.map_or(full, |b| full.min(b)).max(1)
+    }
 }
 
 /// The admission gate: a cell budget and a queue-depth cap.
@@ -91,6 +124,42 @@ mod tests {
         assert_eq!(price(Engine::Sw, q, lens, Some(0)), 1);
         // Heuristics are subject-scan priced, far below DP cost.
         assert_eq!(price(Engine::Blast, q, lens, None), 600);
+    }
+
+    #[test]
+    fn corpus_price_equals_price_over_the_length_table() {
+        // The daemon's corpus lengths, with empty and one-residue
+        // subjects added, whose cost floors at one residue.
+        let mut lens: Vec<usize> = sapa_bioseq::db::DatabaseBuilder::new()
+            .seed(42)
+            .sequences(400)
+            .median_length(110.0)
+            .build()
+            .iter()
+            .map(|s| s.len())
+            .collect();
+        lens.extend([0, 1, 0]);
+        let table = CorpusPrice::new(lens.iter().copied());
+        for engine in Engine::ALL {
+            for query_len in 0..=4096 {
+                let full = price(engine, query_len, lens.iter().copied(), None);
+                for cap in [
+                    None,
+                    Some(0),
+                    Some(1),
+                    Some(full - 1),
+                    Some(full),
+                    Some(full + 1),
+                    Some(u64::MAX),
+                ] {
+                    assert_eq!(
+                        table.price(engine, query_len, cap),
+                        price(engine, query_len, lens.iter().copied(), cap),
+                        "{engine} query {query_len} cap {cap:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

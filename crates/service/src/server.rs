@@ -56,7 +56,7 @@ use sapa_bioseq::queries::QuerySet;
 use sapa_bioseq::{AminoAcid, SubstitutionMatrix};
 use sapa_core::fault::{FaultPlan, FaultyEngine};
 
-use crate::admission::{self, Gate};
+use crate::admission::{CorpusPrice, Gate};
 use crate::metrics::{Counters, Snapshot};
 use crate::protocol::{
     parse_request, render_error, render_ok, render_pong, render_result, ErrorCode, Limits, Request,
@@ -154,7 +154,7 @@ struct State {
     cfg: ServiceConfig,
     gate: Gate,
     subjects: Vec<Vec<AminoAcid>>,
-    subject_lens: Vec<usize>,
+    prices: CorpusPrice,
     matrix: SubstitutionMatrix,
     gaps: GapPenalties,
     profiles: Mutex<ProfileCache>,
@@ -260,7 +260,7 @@ pub fn serve(cfg: ServiceConfig) -> io::Result<ServiceHandle> {
         .iter()
         .map(|s| s.residues().to_vec())
         .collect();
-    let subject_lens: Vec<usize> = subjects.iter().map(Vec::len).collect();
+    let prices = CorpusPrice::new(subjects.iter().map(Vec::len));
 
     let gate = Gate {
         budget_cells: cfg.budget_cells,
@@ -271,7 +271,7 @@ pub fn serve(cfg: ServiceConfig) -> io::Result<ServiceHandle> {
     let state = Arc::new(State {
         gate,
         subjects,
-        subject_lens,
+        prices,
         matrix: SubstitutionMatrix::blosum62(),
         gaps: GapPenalties::paper(),
         profiles: Mutex::new(ProfileCache::new()),
@@ -478,12 +478,9 @@ fn send(state: &Arc<State>, stream: &mut TcpStream, line: &str) -> bool {
 
 fn handle_search(state: &Arc<State>, stream: &mut TcpStream, frame: SearchFrame) -> bool {
     Counters::inc(&state.counters.submitted);
-    let cost = admission::price(
-        frame.engine,
-        frame.query.len(),
-        state.subject_lens.iter().copied(),
-        frame.deadline_cells,
-    );
+    let cost = state
+        .prices
+        .price(frame.engine, frame.query.len(), frame.deadline_cells);
 
     if let Some(q) = &state.cfg.quota {
         let now = Instant::now();
@@ -556,6 +553,8 @@ fn handle_search(state: &Arc<State>, stream: &mut TcpStream, frame: SearchFrame)
 }
 
 fn worker_loop(state: &Arc<State>) {
+    // Built once: every search scans the whole corpus.
+    let slices: Vec<&[AminoAcid]> = state.subjects.iter().map(Vec::as_slice).collect();
     loop {
         let popped = {
             let mut q = lock_unpoisoned(&state.queue);
@@ -578,7 +577,7 @@ fn worker_loop(state: &Arc<State>) {
             }
         };
         let Some((cost, job)) = popped else { return };
-        let reply = execute(state, &job.frame);
+        let reply = execute(state, &slices, &job.frame);
         let _ = job.reply.send(reply);
         let mut q = lock_unpoisoned(&state.queue);
         q.in_flight_cells -= cost;
@@ -588,8 +587,8 @@ fn worker_loop(state: &Arc<State>) {
 
 /// Executes one admitted search and renders its reply line, absorbing
 /// any panic into a typed `internal` error.
-fn execute(state: &Arc<State>, frame: &SearchFrame) -> String {
-    let outcome = catch_unwind(AssertUnwindSafe(|| run_search(state, frame)));
+fn execute(state: &Arc<State>, slices: &[&[AminoAcid]], frame: &SearchFrame) -> String {
+    let outcome = catch_unwind(AssertUnwindSafe(|| run_search(state, slices, frame)));
     let c = &state.counters;
     match outcome {
         Ok(resp) => {
@@ -616,8 +615,7 @@ fn execute(state: &Arc<State>, frame: &SearchFrame) -> String {
     }
 }
 
-fn run_search(state: &Arc<State>, frame: &SearchFrame) -> SearchResponse {
-    let slices: Vec<&[AminoAcid]> = state.subjects.iter().map(Vec::as_slice).collect();
+fn run_search(state: &Arc<State>, slices: &[&[AminoAcid]], frame: &SearchFrame) -> SearchResponse {
     let req = SearchRequest {
         query: &frame.query,
         matrix: &state.matrix,
@@ -652,7 +650,7 @@ fn run_search(state: &Arc<State>, frame: &SearchFrame) -> SearchResponse {
     }
     let exec = Exec {
         req: &req,
-        slices: &slices,
+        slices,
         threads: state.cfg.search_threads.max(1),
         plan: state.cfg.fault_plan,
     };

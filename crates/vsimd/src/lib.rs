@@ -86,6 +86,24 @@ pub trait Lanes: Copy {
     fn horizontal_max(self) -> Self::Elem;
 }
 
+/// Sixteen byte lanes whose 16 × 16 tiles transpose: the score gather
+/// of an inter-sequence kernel, which loads one profile row per subject
+/// and needs the tile as one register per query position.
+pub trait Transpose16: Lanes<Elem = u8> {
+    /// Transposes a 16 × 16 byte tile: lane `k` of output `t` is lane
+    /// `t` of input `k`.
+    fn transpose16(tile: [Self; 16]) -> [Self; 16];
+}
+
+impl Transpose16 for ByteVector<16> {
+    #[inline]
+    fn transpose16(tile: [Self; 16]) -> [Self; 16] {
+        std::array::from_fn(|t| ByteVector {
+            lanes: std::array::from_fn(|k| tile[k].lanes[t]),
+        })
+    }
+}
+
 /// Implements [`Lanes`] for an emulated vector by delegating to its
 /// inherent methods.
 macro_rules! emulated_lanes {
@@ -250,13 +268,6 @@ impl<const L: usize> Vector<L> {
         self.zip(rhs, std::cmp::min)
     }
 
-    /// Lane-wise `self > rhs` mask: all-ones (-1) where true, 0 where
-    /// false (Altivec `vcmpgtsh`).
-    #[inline]
-    pub fn cmpgt(self, rhs: Self) -> Self {
-        self.zip(rhs, |a, b| if a > b { -1 } else { 0 })
-    }
-
     /// Whether any lane of `self` exceeds the corresponding lane of
     /// `rhs` (Altivec `vcmpgtsh.` with the CR6 "any" predicate).
     #[inline]
@@ -296,19 +307,6 @@ impl<const L: usize> Vector<L> {
     #[inline]
     pub const fn last(self) -> i16 {
         self.lanes[L - 1]
-    }
-
-    /// Shifts every lane `n` positions toward higher indices, filling
-    /// the vacated low lanes with `fill` — the generalized `vsldoi`
-    /// used by the Kogge-Stone max-plus scan in the deconstructed
-    /// lazy-F correction (`n` doubles each scan step).
-    #[inline]
-    pub fn shift_lanes(self, n: usize, fill: i16) -> Self {
-        let mut lanes = [fill; L];
-        if n < L {
-            lanes[n..].copy_from_slice(&self.lanes[..L - n]);
-        }
-        Vector { lanes }
     }
 
     /// Maximum lane value (Altivec max-across idiom: log2(L) `vperm` +
@@ -385,8 +383,7 @@ mod tests {
         let b = V128::splat(4);
         assert_eq!(a.max(b).to_array(), [4, 4, 4, 4, 5, 6, 7, 8]);
         assert_eq!(a.min(b).to_array(), [1, 2, 3, 4, 4, 4, 4, 4]);
-        let mask = a.cmpgt(b);
-        assert_eq!(mask.to_array(), [0, 0, 0, 0, -1, -1, -1, -1]);
+        let mask = V128::from_array([0, 0, 0, 0, -1, -1, -1, -1]);
         let sel = a.select(b, mask);
         assert_eq!(sel.to_array(), [4, 4, 4, 4, 5, 6, 7, 8]);
     }
@@ -404,18 +401,6 @@ mod tests {
         assert_eq!(a.last(), 8);
         let b = a.shift_in_first(99);
         assert_eq!(b.to_array(), [99, 1, 2, 3, 4, 5, 6, 7]);
-    }
-
-    #[test]
-    fn shift_lanes_multi() {
-        let a = V128::from_array([1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(a.shift_lanes(0, -9).to_array(), [1, 2, 3, 4, 5, 6, 7, 8]);
-        assert_eq!(a.shift_lanes(1, -9).to_array(), [-9, 1, 2, 3, 4, 5, 6, 7]);
-        assert_eq!(a.shift_lanes(3, 0).to_array(), [0, 0, 0, 1, 2, 3, 4, 5]);
-        assert_eq!(a.shift_lanes(8, -9), V128::splat(-9));
-        assert_eq!(a.shift_lanes(20, -9), V128::splat(-9));
-        // shift by 1 matches shift_in_first
-        assert_eq!(a.shift_lanes(1, 42), a.shift_in_first(42));
     }
 
     #[test]
@@ -559,20 +544,6 @@ impl<const L: usize> ByteVector<L> {
         self.lanes.iter().zip(rhs.lanes.iter()).any(|(a, b)| a > b)
     }
 
-    /// Whether any lane equals [`u8::MAX`] — the overflow signal that
-    /// forces a 16-bit re-run.
-    #[inline]
-    pub fn saturated(self) -> bool {
-        let mut i = 0;
-        while i < L {
-            if self.lanes[i] == u8::MAX {
-                return true;
-            }
-            i += 1;
-        }
-        false
-    }
-
     /// Shifts every lane one position toward higher indices and
     /// inserts `first` into lane 0.
     #[inline]
@@ -580,18 +551,6 @@ impl<const L: usize> ByteVector<L> {
         let mut lanes = [0u8; L];
         lanes[0] = first;
         lanes[1..L].copy_from_slice(&self.lanes[..L - 1]);
-        ByteVector { lanes }
-    }
-
-    /// Shifts every lane `n` positions toward higher indices, filling
-    /// the vacated low lanes with `fill` — the byte-precision sibling
-    /// of [`Vector::shift_lanes`].
-    #[inline]
-    pub fn shift_lanes(self, n: usize, fill: u8) -> Self {
-        let mut lanes = [fill; L];
-        if n < L {
-            lanes[n..].copy_from_slice(&self.lanes[..L - n]);
-        }
         ByteVector { lanes }
     }
 
@@ -646,8 +605,6 @@ mod byte_tests {
     fn saturating_byte_math() {
         let a = B128::splat(250);
         assert_eq!(a.adds(B128::splat(10)).extract(0), 255);
-        assert!(a.adds(B128::splat(10)).saturated());
-        assert!(!a.saturated());
         assert_eq!(B128::splat(3).subs(B128::splat(10)).extract(5), 0);
     }
 
@@ -676,20 +633,16 @@ mod byte_tests {
     }
 
     #[test]
-    fn byte_shift_lanes_multi() {
-        let mut arr = [0u8; 16];
-        for (i, v) in arr.iter_mut().enumerate() {
-            *v = (i + 1) as u8;
+    fn transpose16_swaps_rows_and_lanes() {
+        let tile: [B128; 16] =
+            std::array::from_fn(|k| B128::from_array(std::array::from_fn(|t| (16 * k + t) as u8)));
+        let out = B128::transpose16(tile);
+        for (t, row) in out.iter().enumerate() {
+            for k in 0..16 {
+                assert_eq!(row.extract(k), (16 * k + t) as u8, "row {t} lane {k}");
+            }
         }
-        let v = B128::from_array(arr);
-        assert_eq!(v.shift_lanes(0, 9), v);
-        assert_eq!(v.shift_lanes(1, 9), v.shift_in_first(9));
-        let s4 = v.shift_lanes(4, 0);
-        assert_eq!(s4.extract(3), 0);
-        assert_eq!(s4.extract(4), 1);
-        assert_eq!(s4.extract(15), 12);
-        assert_eq!(v.shift_lanes(16, 7), B128::splat(7));
-        assert_eq!(v.shift_lanes(99, 7), B128::splat(7));
+        assert_eq!(B128::transpose16(out), tile);
     }
 
     #[test]

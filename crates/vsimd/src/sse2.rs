@@ -21,7 +21,7 @@
 
 use std::arch::x86_64::*;
 
-use crate::Lanes;
+use crate::{Lanes, Transpose16};
 
 /// Eight signed 16-bit lanes in one SSE2 register.
 #[derive(Debug, Clone, Copy)]
@@ -179,5 +179,41 @@ impl Lanes for U8x16 {
             let m = _mm_max_epu8(m, _mm_srli_si128::<1>(m));
             _mm_cvtsi128_si32(m) as u8
         }
+    }
+}
+
+impl Transpose16 for U8x16 {
+    #[inline]
+    fn transpose16(tile: [Self; 16]) -> [Self; 16] {
+        // One round interleaves rows `i` and `i + 8` byte by byte into
+        // rows `2i` and `2i + 1`. Read a byte's place as eight bits, row
+        // then lane: a round rotates them left by one, so four rounds
+        // swap row and lane.
+        #[inline(always)]
+        fn round(t: [U8x16; 16]) -> [U8x16; 16] {
+            // SAFETY: SSE2 is in the x86_64 baseline.
+            let lo = |i: usize| U8x16(unsafe { _mm_unpacklo_epi8(t[i].0, t[i + 8].0) });
+            // SAFETY: SSE2 is in the x86_64 baseline.
+            let hi = |i: usize| U8x16(unsafe { _mm_unpackhi_epi8(t[i].0, t[i + 8].0) });
+            [
+                lo(0),
+                hi(0),
+                lo(1),
+                hi(1),
+                lo(2),
+                hi(2),
+                lo(3),
+                hi(3),
+                lo(4),
+                hi(4),
+                lo(5),
+                hi(5),
+                lo(6),
+                hi(6),
+                lo(7),
+                hi(7),
+            ]
+        }
+        round(round(round(round(tile))))
     }
 }
