@@ -120,10 +120,14 @@ pub trait AlignmentEngine: Sync {
         self.cost_len(subject.len())
     }
 
-    /// Whether a scan of `subject_count` subjects runs through
+    /// Whether a worker whose share of a scan is `subject_count`
+    /// subjects runs them through
     /// [`score_batch`](AlignmentEngine::score_batch) rather than one
     /// [`score_one`](AlignmentEngine::score_one) call per subject;
-    /// `false` unless the engine scores several subjects at once.
+    /// `false` unless the engine scores several subjects at once. The
+    /// parallel pipeline asks with the scan's subjects over its
+    /// workers, rounded up, since each worker's batch fills and drains
+    /// on its own.
     fn batches(&self, _subject_count: usize) -> bool {
         false
     }
@@ -461,12 +465,12 @@ pub struct LaneScratch {
     lanes: LaneWorkspace,
 }
 
-/// The striped engine for short queries: a scan of enough subjects runs
-/// on the inter-sequence lane kernel ([`striped::lanes`]), sixteen
-/// subjects per SSE2 register, and every subject whose byte pass
-/// reaches the guard is rescored on the 16-bit striped kernel; a single
-/// subject, a scan too small to fill the lanes, and the last few
-/// subjects the lanes would finish slowly run exactly as
+/// The striped engine for short queries: a worker with enough subjects
+/// runs them on the inter-sequence lane kernel ([`striped::lanes`]),
+/// sixteen subjects per SSE2 register, and every subject whose byte
+/// pass reaches the guard is rescored on the 16-bit striped kernel; a
+/// single subject, a worker's share too small to fill the lanes, and
+/// the last few subjects the lanes would finish slowly run exactly as
 /// `StripedEngine::<16, 8>`. [`striped::kernel`] makes that choice, so
 /// scores and rescore counts equal `StripedEngine::<16, 8>`'s either
 /// way.
@@ -521,7 +525,8 @@ impl AlignmentEngine for LaneEngine {
 
     fn batches(&self, subject_count: usize) -> bool {
         let profile = &self.striped.profile;
-        striped::byte_guard(profile).is_some()
+        profile.seq_bytes().is_some()
+            && striped::byte_guard(profile).is_some()
             && striped::kernel(profile.query_len(), striped::avx2_detected(), subject_count)
                 == Kernel::Lanes
     }
@@ -1075,8 +1080,8 @@ impl Engine {
 /// `StripedEngine::<32, 16>` with `profile(16)` or `<16, 8>` with
 /// `profile(8)` for long ones — and hands it to `visitor`. The subject
 /// count is not known until the scan starts, so the lane engine asks
-/// the same rule again then, and scores a scan too small for its lanes
-/// striped. A server passes a closure over its
+/// the same rule again then, with one worker's share of the scan, and
+/// scores a share too small for its lanes striped. A server passes a closure over its
 /// [`sapa_bioseq::profile::ProfileCache`], so both front ends keep the
 /// one rule.
 pub fn striped_dispatch<V: EngineVisitor>(

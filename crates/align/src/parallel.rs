@@ -200,7 +200,8 @@ impl<'s> Iterator for Claims<'_, 's> {
 /// Runs up to `threads` workers (see [`run_workers`]); each builds one
 /// workspace and scores the subjects its [`Claims`] hand out, through
 /// [`AlignmentEngine::score_batch`] when the engine
-/// [`batches`](AlignmentEngine::batches) a scan of this size and one
+/// [`batches`](AlignmentEngine::batches) a worker's share of the scan
+/// (its subjects over its workers, rounded up) and one
 /// [`AlignmentEngine::score_one`] call at a time otherwise. The merge
 /// restores subject order — output is identical no matter how chunks
 /// interleave — and the workspaces are returned so callers can harvest
@@ -237,7 +238,9 @@ fn chunked_scores<E: AlignmentEngine>(
     }
     let threads = threads.min(subject_count.div_ceil(chunk));
     let cursor = AtomicUsize::new(0);
-    let batch = engine.batches(subject_count);
+    // Each worker's batch fills and drains on its own, so the engine
+    // decides from one worker's share of the scan.
+    let batch = engine.batches(subject_count.div_ceil(threads));
 
     let partials = run_workers(threads, || {
         let mut claims = Claims::new(subjects, &cursor, chunk, wall);
@@ -542,7 +545,7 @@ pub fn align_hits<const L: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{StripedEngine, SwEngine};
+    use crate::engine::{LaneEngine, LaneScratch, StripedEngine, SwEngine};
     use crate::sw;
     use sapa_bioseq::db::DatabaseBuilder;
     use sapa_bioseq::matrix::GapPenalties;
@@ -967,6 +970,66 @@ mod tests {
         assert_eq!(out.workspaces[0], (100, 40));
         let scores: Vec<i32> = out.scores.into_iter().map(Option::unwrap).collect();
         assert_eq!(scores, (1..=100).collect::<Vec<i32>>());
+    }
+
+    /// `LaneEngine` with its rule, noting in the workspace whether a
+    /// worker ran its share through the lanes.
+    struct WatchedLanes(LaneEngine);
+
+    impl AlignmentEngine for WatchedLanes {
+        type Workspace = (LaneScratch, bool);
+
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+
+        fn workspace(&self) -> Self::Workspace {
+            (self.0.workspace(), false)
+        }
+
+        fn score_one(&self, ws: &mut Self::Workspace, subject: &[sapa_bioseq::AminoAcid]) -> i32 {
+            self.0.score_one(&mut ws.0, subject)
+        }
+
+        fn batches(&self, subject_count: usize) -> bool {
+            self.0.batches(subject_count)
+        }
+
+        fn score_batch<'s>(&self, ws: &mut Self::Workspace, claims: &mut Claims<'_, 's>) {
+            ws.1 = true;
+            self.0.score_batch(&mut ws.0, claims)
+        }
+    }
+
+    #[test]
+    fn lanes_are_chosen_from_one_workers_share() {
+        // Each worker's lanes fill and drain on their own: 64 subjects
+        // over two workers are two 32-subject shares, too few to fill
+        // a register, so they run striped; 128 over two run in lanes.
+        let m = SubstitutionMatrix::blosum62();
+        let g = GapPenalties::paper();
+        let queries = QuerySet::paper();
+        let query = queries.by_accession("P02232").unwrap().residues();
+        let db = DatabaseBuilder::new().seed(5).sequences(128).build();
+        let engine = WatchedLanes(LaneEngine::from_query(query, &m, g));
+        let striped = StripedEngine::<16, 8>::from_query(query, &m, g);
+        for (n, threads, lanes) in [
+            (64, 1, true),
+            (64, 2, false),
+            (64, 8, false),
+            (128, 2, true),
+            (128, 8, false),
+        ] {
+            let slices: Vec<&[sapa_bioseq::AminoAcid]> =
+                db.iter().take(n).map(|s| s.residues()).collect();
+            let chunk = auto_chunk(n, threads);
+            let out = chunked_scores(&engine, &slices, threads, chunk, None);
+            let batched = out.workspaces.iter().any(|ws| ws.1);
+            assert_eq!(batched, lanes, "{n} subjects, {threads} threads");
+            let want = engine_scores(&striped, &slices, 1).0;
+            let got: Vec<i32> = out.scores.into_iter().map(Option::unwrap).collect();
+            assert_eq!(got, want, "{n} subjects, {threads} threads");
+        }
     }
 
     fn subjects_of_lengths(lens: &[usize]) -> Vec<Vec<sapa_bioseq::AminoAcid>> {

@@ -130,12 +130,12 @@ pub fn use_256_bit(query_len: usize, avx2: bool) -> bool {
     avx2 && query_len >= WIDE_MIN_STRIPES * 32
 }
 
-/// The fewest subjects a scan needs before [`kernel`] sends a short
-/// query to the lane kernel.
+/// The fewest subjects one worker must score before [`kernel`] sends a
+/// short query to the lane kernel.
 ///
 /// A lane scan pays for all 16 lanes whether they are busy or not, and
-/// they drain while the last subjects finish, so a scan too small to
-/// keep a register filled runs faster striped. Measured against the
+/// they drain while the last subjects finish, so a worker with too few
+/// subjects to keep a register filled runs faster striped. Measured against the
 /// 128-bit striped kernel on subjects drawn from the daemon's corpus
 /// (DESIGN §5.9), lanes break even at 48–64 subjects and win 1.3× at
 /// 128; at 32 they still lose 10–20%.
@@ -155,13 +155,14 @@ pub enum Kernel {
 
 /// The one rule that picks a striped search's kernel from the query
 /// length, the CPU (`avx2`, pass [`avx2_detected`]) and the number of
-/// subjects the scan scores:
+/// subjects one worker scores (the parallel pipeline's share per
+/// worker, since each worker's lanes fill and drain on their own):
 ///
 /// * queries of [`WIDE_MIN_STRIPES`] 32-residue stripes or more run
 ///   striped, on 256 bits when [`use_256_bit`] says so;
-/// * shorter queries run on the lane kernel when the scan has at least
-///   [`LANES_MIN_SUBJECTS`] subjects, and striped on 128 bits when it
-///   has fewer.
+/// * shorter queries run on the lane kernel when the worker has at
+///   least [`LANES_MIN_SUBJECTS`] subjects, and striped on 128 bits
+///   when it has fewer.
 ///
 /// The kernel changes no score, byte-pass decision or rescore count,
 /// only the time a scan takes.
@@ -175,6 +176,9 @@ pub enum Kernel {
 /// assert_eq!(kernel(567, false, 400), Kernel::Striped128);
 /// ```
 pub fn kernel(query_len: usize, avx2: bool, subjects: usize) -> Kernel {
+    // The lane kernel reads the sequential byte layout, which profiles
+    // carry for exactly the query lengths this rule sends to lanes.
+    const _: () = assert!(WIDE_MIN_STRIPES * 32 == sapa_bioseq::profile::SEQ_BYTES_MAX_QUERY);
     if use_256_bit(query_len, avx2) {
         Kernel::Striped256
     } else if query_len < WIDE_MIN_STRIPES * 32 && subjects >= LANES_MIN_SUBJECTS {

@@ -107,9 +107,9 @@ struct Consts<V> {
 ///
 /// # Panics
 ///
-/// Panics if the profile has no byte layout or its guard leaves no
-/// room below the `u8` ceiling — when the striped byte pass gives up on
-/// every subject.
+/// Panics if the profile has no sequential byte layout (see
+/// [`QueryProfile::seq_bytes`]) or its guard leaves no room below the
+/// `u8` ceiling — when the striped byte pass gives up on every subject.
 pub fn score_lanes<'s>(
     profile: &QueryProfile,
     gaps: GapPenalties,
@@ -146,7 +146,7 @@ pub fn score_lanes_with<'s, V: Transpose16>(
         return Vec::new();
     }
     let (Some(seq), Some(guard)) = (profile.seq_bytes(), super::byte_guard(profile)) else {
-        panic!("lane kernel needs a byte layout with room below the guard");
+        panic!("lane kernel needs the sequential byte layout with room below the guard");
     };
     // Rows in whole 16-byte blocks, so a tile load needs one index.
     let (seq, _) = seq.as_chunks::<LANES>();

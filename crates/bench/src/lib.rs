@@ -7,12 +7,6 @@
 
 pub mod harness;
 
-/// The host fingerprint perfbench records with its results; the file is
-/// shared, so the suite keeps one copy of that code.
-#[allow(dead_code)]
-#[path = "../../../perfbench/src/host.rs"]
-mod host;
-
 use sapa_core::bioseq::db::DatabaseBuilder;
 use sapa_core::bioseq::queries::QuerySet;
 use sapa_core::bioseq::{AminoAcid, Sequence};
@@ -36,19 +30,51 @@ pub fn bench_db(n: usize) -> Vec<Sequence> {
         .to_vec()
 }
 
-/// The host fingerprint as a JSON object — CPU model, SIMD flags,
-/// `nproc`, compiled target features, RUSTFLAGS and build profile — for
-/// the `"host"` field of every `BENCH_*.json`.
+/// The host fingerprint as a JSON object — CPU model, the SIMD
+/// extensions it reports, `nproc`, the target features compiled in and
+/// whether the build has debug assertions — for the `"host"` field of
+/// every `BENCH_*.json`.
 pub fn host_json() -> String {
-    let pairs: Vec<String> = host::fingerprint()
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let field = |key: &str| {
+        cpuinfo
+            .lines()
+            .find(|l| l.starts_with(key))
+            .and_then(|l| l.split_once(':'))
+            .map_or("", |(_, v)| v.trim())
+    };
+    let flags = field("flags");
+    let simd: Vec<&str> = ["sse4_1", "sse4_2", "avx", "avx2", "avx512f", "avx512bw"]
         .into_iter()
-        .map(|(k, v)| {
-            format!(
-                "\"{k}\": \"{}\"",
-                v.replace('\\', "\\\\").replace('"', "\\\"")
-            )
-        })
+        .filter(|f| flags.split_whitespace().any(|x| x == *f))
         .collect();
+    let compiled: Vec<&str> = [
+        ("sse4.1", cfg!(target_feature = "sse4.1")),
+        ("avx2", cfg!(target_feature = "avx2")),
+        ("avx512bw", cfg!(target_feature = "avx512bw")),
+    ]
+    .into_iter()
+    .filter_map(|(name, on)| on.then_some(name))
+    .collect();
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let build = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let pairs = [
+        ("cpu_model", field("model name")),
+        ("simd_flags", &simd.join(" ")),
+        ("nproc", &nproc.to_string()),
+        ("compiled_target_features", &compiled.join(" ")),
+        ("build_profile", build),
+    ]
+    .map(|(k, v)| {
+        format!(
+            "\"{k}\": \"{}\"",
+            v.replace('\\', "\\\\").replace('"', "\\\"")
+        )
+    });
     format!("{{{}}}", pairs.join(", "))
 }
 

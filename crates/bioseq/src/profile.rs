@@ -27,7 +27,9 @@
 //! *subject* in each lane instead of one query stripe: the same biased
 //! bytes in query order, one row of [`QueryProfile::seq_stride`] bytes
 //! per residue, then one all-zero row for lanes that hold no subject
-//! (see [`QueryProfile::seq_bytes`]):
+//! (see [`QueryProfile::seq_bytes`]). Only 8-word-lane profiles of
+//! queries shorter than [`SEQ_BYTES_MAX_QUERY`] carry it, the only ones
+//! that kernel runs:
 //!
 //! ```text
 //! seq(c) = [ S[c][0], S[c][1], … , S[c][m-1], 0 … ]     S = score + bias
@@ -68,10 +70,17 @@ pub struct QueryProfile {
     bytes: Option<Vec<u8>>,
     /// The same biased bytes in query order, `[residue][position]` with
     /// row stride `seq_stride`, plus one all-zero row; `None` with
-    /// `bytes`.
+    /// `bytes` and where the inter-sequence kernel does not run.
     seq_bytes: Option<Vec<u8>>,
     bias: i32,
 }
+
+/// Queries this long or longer get no sequential byte layout
+/// ([`QueryProfile::seq_bytes`]), and neither do profiles of other than
+/// 8 word lanes: the inter-sequence kernel that reads it runs on SSE2
+/// registers for queries below five 32-residue stripes, and longer
+/// queries are searched striped.
+pub const SEQ_BYTES_MAX_QUERY: usize = 160;
 
 /// Rounds a sequential row up to whole 16-byte loads, at least one.
 fn seq_stride(query_len: usize) -> usize {
@@ -134,7 +143,8 @@ impl QueryProfile {
             bytes
         });
         let stride = seq_stride(m);
-        let seq_bytes = byte_ok.then(|| {
+        let sequential = byte_ok && word_lanes == 8 && m < SEQ_BYTES_MAX_QUERY;
+        let seq_bytes = sequential.then(|| {
             let mut seq = vec![0u8; (n_res + 1) * stride];
             for c in AminoAcid::ALL.iter() {
                 let row = &mut seq[c.index() * stride..][..m];
@@ -257,7 +267,9 @@ impl QueryProfile {
     }
 
     /// The sequential biased byte layout, or `None` when the byte
-    /// layout is infeasible for this matrix: the row of residue `c`
+    /// layout is infeasible for this matrix, the profile has other than
+    /// 8 word lanes or the query has [`SEQ_BYTES_MAX_QUERY`] residues or
+    /// more: the row of residue `c`
     /// starts at `c.index() * seq_stride()` and holds `score(query[i],
     /// c) + bias` at position `i`, zero past the query end. One
     /// all-zero row follows the last residue's, at
@@ -272,8 +284,8 @@ impl QueryProfile {
 type ProfileKey = (Vec<u8>, [[i8; AminoAcid::COUNT]; AminoAcid::COUNT], usize);
 
 /// Bytes of profiles, keys included, that a [`ProfileCache`] keeps
-/// before it evicts the least recently used: 16 MiB, about 40 profiles
-/// of a 4,096-residue query (~400 KB each) or thousands of 20–60-residue
+/// before it evicts the least recently used: 16 MiB, about 50 profiles
+/// of a 4,096-residue query (~300 KB each) or thousands of 20–60-residue
 /// ones (a few KB each).
 pub const PROFILE_CACHE_BYTES: usize = 16 << 20;
 
@@ -441,6 +453,19 @@ mod tests {
     }
 
     #[test]
+    fn sequential_layout_only_where_the_lane_kernel_runs() {
+        let m = SubstitutionMatrix::blosum62();
+        let q = random_queries(1, SEQ_BYTES_MAX_QUERY, 3).remove(0);
+        let short = &q[..SEQ_BYTES_MAX_QUERY - 1];
+        assert!(QueryProfile::build(short, &m, 8).seq_bytes().is_some());
+        assert!(QueryProfile::build(&[], &m, 8).seq_bytes().is_some());
+        // Long queries and 256-bit profiles stay striped.
+        assert!(QueryProfile::build(&q, &m, 8).seq_bytes().is_none());
+        assert!(QueryProfile::build(short, &m, 16).seq_bytes().is_none());
+        assert!(QueryProfile::build(short, &m, 16).has_bytes());
+    }
+
+    #[test]
     fn wide_matrix_disables_byte_layout() {
         // A huge dynamic range cannot fit the biased-u8 scheme.
         let m = SubstitutionMatrix::uniform(120, -120);
@@ -494,7 +519,7 @@ mod tests {
 
     #[test]
     fn cache_stays_within_its_budget_and_evicts_least_recently_used() {
-        // Queries at the daemon's 4,096-residue limit: ~400 KB each, so
+        // Queries at the daemon's 4,096-residue limit: ~300 KB each, so
         // 60 of them overfill the budget.
         let m = SubstitutionMatrix::blosum62();
         let queries = random_queries(60, 4096, 7);
@@ -530,8 +555,8 @@ mod tests {
 
     #[test]
     fn a_profile_larger_than_the_budget_is_built_but_not_kept() {
-        // 24 symbols × 4 bytes per residue in three layouts: this
-        // query's profile alone exceeds the budget.
+        // 24 symbols × 3 bytes per residue: this query's profile alone
+        // exceeds the budget.
         let m = SubstitutionMatrix::blosum62();
         let huge = random_queries(1, PROFILE_CACHE_BYTES / 72 + 1, 9).remove(0);
         let small = seq("HEAGAWGHEE");
