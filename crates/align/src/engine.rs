@@ -857,7 +857,7 @@ pub enum Engine {
     SwLazy,
     /// Adaptive 8/16-bit SIMD Smith-Waterman on the kernel
     /// [`striped::kernel`] picks: below [`striped::WIDE_MIN_STRIPES`]
-    /// 32-residue stripes, a scan of enough subjects runs on
+    /// 32-residue stripes, a worker with enough subjects runs them on
     /// inter-sequence byte lanes ([`LaneEngine`], one subject per lane);
     /// otherwise Farrar striped, on 256-bit AVX2 lanes for long queries
     /// on a CPU with AVX2 and 128-bit otherwise (SSE2 lanes on x86_64,

@@ -568,9 +568,18 @@ pub fn score_bytes_with_lanes<V: Lanes<Elem = u8>, const L: usize>(
 /// 255). `None` when the byte pass cannot run — the matrix range is too
 /// wide for biased `u8`, or leaves no room below the ceiling — and every
 /// non-empty subject goes to the 16-bit kernel.
+///
+/// Keep the early return: written branch-free, as `(has_bytes && guard
+/// > 0).then_some(guard)`, it changes how LLVM compiles the byte
+/// kernels' segment loops (the AVX2 one then counts a byte offset up
+/// instead of a segment count down).
+#[inline(always)]
 pub(crate) fn byte_guard(profile: &QueryProfile) -> Option<i32> {
+    if !profile.has_bytes() {
+        return None;
+    }
     let guard = 255 - profile.bias() - profile.max_score();
-    (profile.has_bytes() && guard > 0).then_some(guard)
+    (guard > 0).then_some(guard)
 }
 
 /// Adaptive-precision striped search step: byte pass first (double the
